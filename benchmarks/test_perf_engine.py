@@ -1,8 +1,10 @@
 """Perf bench: engine dispatch strategies on a fixed seeded workload.
 
-Times the same seeded session batch under broadcast and indexed dispatch
-and under the parallel batch layer, records events/sec in the benchmark
-extra-info, and asserts the two dispatch modes agree outcome-for-outcome.
+Times the same seeded session batch under the broadcast and per-event
+reference oracles (``tests/oracles.py``), the engine's object loop
+(``kernel=False``), its kernel path, and the parallel batch layer,
+records events/sec in the benchmark extra-info, and asserts the
+strategies agree outcome-for-outcome.
 Wall-time is archived, not gated — machine speed varies; the invariants
 (identical outcomes, indexed not slower than broadcast) do not.
 """
@@ -19,6 +21,7 @@ from repro.experiments.config import DEFAULT_CONFIG
 from repro.experiments.parallel import run_parallel_batch
 from repro.experiments.runners import run_random_graph_batch
 from scripts.bench_engine import count_events, outcome_signature
+from tests.oracles import BroadcastEngine, IteratorEngine, runners_using
 
 SESSIONS = 200
 HORIZON = 360.0
@@ -32,7 +35,7 @@ def workload_graph():
     )
 
 
-def _run(graph, dispatch):
+def _batch(graph, **knobs):
     return run_random_graph_batch(
         graph,
         5,
@@ -41,8 +44,30 @@ def _run(graph, dispatch):
         horizon=HORIZON,
         sessions=SESSIONS,
         rng=np.random.default_rng(SEED),
-        dispatch=dispatch,
+        **knobs,
     )
+
+
+def _timed(benchmark, fn):
+    """Run ``fn`` under the benchmark for three rounds; ``(result, mean wall)``.
+
+    Under ``--benchmark-disable`` the fixture runs ``fn`` once and keeps no
+    stats, so the wall falls back to that single timed run.
+    """
+    start = time.perf_counter()
+    result = benchmark.pedantic(fn, rounds=3, iterations=1)
+    elapsed = time.perf_counter() - start
+    stats = benchmark.stats
+    return result, stats["mean"] if stats is not None else elapsed
+
+
+def _run(graph, dispatch):
+    """``broadcast``: the reference scan; ``indexed``: the engine's
+    interest-indexed object loop."""
+    if dispatch == "broadcast":
+        with runners_using(BroadcastEngine):
+            return _batch(graph)
+    return _batch(graph, kernel=False)
 
 
 def test_perf_indexed_vs_broadcast(benchmark, workload_graph):
@@ -52,10 +77,9 @@ def test_perf_indexed_vs_broadcast(benchmark, workload_graph):
     broadcast = _run(workload_graph, "broadcast")
     broadcast_wall = time.perf_counter() - start
 
-    indexed = benchmark.pedantic(
-        lambda: _run(workload_graph, "indexed"), rounds=3, iterations=1
+    indexed, indexed_wall = _timed(
+        benchmark, lambda: _run(workload_graph, "indexed")
     )
-    indexed_wall = benchmark.stats["mean"]
 
     assert outcome_signature(broadcast) == outcome_signature(indexed)
     assert indexed_wall < broadcast_wall
@@ -126,60 +150,26 @@ def test_perf_parallel_batch(benchmark, workload_graph):
 def test_perf_columnar_consume(benchmark, workload_graph):
     events = count_events(workload_graph, 5, 3, SESSIONS, HORIZON, SEED)
 
-    iterator = run_random_graph_batch(
-        workload_graph,
-        5,
-        3,
-        copies=1,
-        horizon=HORIZON,
-        sessions=SESSIONS,
-        rng=np.random.default_rng(SEED),
-        consume="iterator",
-    )
-    columnar = benchmark.pedantic(
-        lambda: run_random_graph_batch(
-            workload_graph,
-            5,
-            3,
-            copies=1,
-            horizon=HORIZON,
-            sessions=SESSIONS,
-            rng=np.random.default_rng(SEED),
-            consume="columnar",
-        ),
-        rounds=3,
-        iterations=1,
+    with runners_using(IteratorEngine):
+        iterator = _batch(workload_graph)
+    columnar, columnar_wall = _timed(
+        benchmark, lambda: _batch(workload_graph, kernel=False)
     )
     assert outcome_signature(iterator) == outcome_signature(columnar)
     benchmark.extra_info["events"] = events
     benchmark.extra_info["events_per_second_columnar"] = round(
-        events / benchmark.stats["mean"], 1
+        events / columnar_wall, 1
     )
 
 
 def test_perf_kernel_consume(benchmark, workload_graph):
     events = count_events(workload_graph, 5, 3, SESSIONS, HORIZON, SEED)
 
-    def batch(consume):
-        return run_random_graph_batch(
-            workload_graph,
-            5,
-            3,
-            copies=1,
-            horizon=HORIZON,
-            sessions=SESSIONS,
-            rng=np.random.default_rng(SEED),
-            consume=consume,
-        )
-
     start = time.perf_counter()
-    columnar = batch("columnar")
+    columnar = _batch(workload_graph, kernel=False)
     columnar_wall = time.perf_counter() - start
 
-    kernel = benchmark.pedantic(
-        lambda: batch("kernel"), rounds=3, iterations=1
-    )
-    kernel_wall = benchmark.stats["mean"]
+    kernel, kernel_wall = _timed(benchmark, lambda: _batch(workload_graph))
 
     assert outcome_signature(columnar) == outcome_signature(kernel)
     # The end-to-end walls share the generation phase, so the ratio here
@@ -237,25 +227,12 @@ def test_perf_shared_stream_parallel(benchmark, workload_graph):
 def test_perf_stream_consume(benchmark, workload_graph):
     events = count_events(workload_graph, 5, 3, SESSIONS, HORIZON, SEED)
 
-    def batch(consume, **knobs):
-        return run_random_graph_batch(
-            workload_graph,
-            5,
-            3,
-            copies=1,
-            horizon=HORIZON,
-            sessions=SESSIONS,
-            rng=np.random.default_rng(SEED),
-            consume=consume,
-            **knobs,
-        )
-
-    kernel = batch("kernel")
-    stream = benchmark.pedantic(
-        lambda: batch("stream", stream_window=HORIZON / 8), rounds=3, iterations=1
+    kernel = _batch(workload_graph)
+    stream, stream_wall = _timed(
+        benchmark, lambda: _batch(workload_graph, stream_window=HORIZON / 8)
     )
     assert outcome_signature(kernel) == outcome_signature(stream)
     benchmark.extra_info["events"] = events
     benchmark.extra_info["events_per_second_stream"] = round(
-        events / benchmark.stats["mean"], 1
+        events / stream_wall, 1
     )

@@ -8,17 +8,18 @@ horizon. The script measures two layers of the pipeline:
 * **producer** — raw contact-event generation for the workload's stream:
   the legacy lazy iterator (``events_until``) vs the columnar window
   (``events_until_columnar``), same seed, same events.
-* **engine** — the same batch end-to-end under three strategies:
+* **engine** — the same batch end-to-end under these strategies:
 
-  - ``broadcast`` — the legacy O(events x sessions) dispatch loop,
+  - ``broadcast`` — the O(events x sessions) scan, timed through the
+    reference oracle ``tests.oracles.BroadcastEngine``,
   - ``indexed``   — interest-indexed dispatch fed by the lazy iterator
-    (``consume="iterator"``; the pre-columnar engine, kept as the
+    (the pre-columnar engine, ``tests.oracles.IteratorEngine``; the
     baseline all speedups are quoted against),
-  - ``columnar``  — interest-indexed dispatch consuming one pre-built
-    columnar window (``consume="columnar"``),
-  - ``kernel``    — the struct-of-arrays :class:`BatchKernel` sweep
-    (``consume="kernel"``): eligible fault-free single-copy sessions are
-    advanced by array operations, dispatching only state-changing events,
+  - ``columnar``  — the engine's object loop over one horizon-wide
+    columnar window (``kernel=False``),
+  - ``kernel``    — the engine's default path: the struct-of-arrays
+    :class:`BatchKernel` sweep advances eligible fault-free single-copy
+    sessions by array operations, dispatching only state-changing events,
   - ``parallel``  — the columnar engine under ``run_parallel_batch`` with
     a *shared* event stream: the window is generated once, serialised,
     and replayed by every worker chunk instead of re-sampled per chunk.
@@ -41,15 +42,15 @@ Two further workloads exercise the rest of the kernel family:
   figure-6-shaped (c, K) sweep pair sharing one trial block. A second
   set of arms (``security-backend-<name>``) then re-scores the same
   fused grid per kernel backend — numpy vs the preferred compiled
-  backend (and cupy when a GPU is present) — through the fused
-  ``smallest_k_mask`` + ``security_scores`` ops, with JIT/GPU warm-up
+  backend — through the fused
+  ``smallest_k_mask`` + ``security_scores`` ops, with JIT warm-up
   outside the timer and result digests required to match bit-for-bit.
 * **parallel** — the zero-copy shared-memory path: one columnar window
   registered in a :class:`SharedBlockArena`, replayed through the batch
   kernels by a warm persistent :class:`WorkerPool` (chunk pickles carry a
   few-hundred-byte descriptor, not the columns), timed against the serial
-  ``consume="kernel"`` run at the same seed.
-* **stream** — the streaming million-session path: ``consume="stream"``
+  kernel run at the same seed.
+* **stream** — the streaming million-session path: ``stream_window``
   drains the event source window by window under a stated
   ``max_window_events`` ceiling (full workload: 10^6 sessions over a
   14400-minute horizon; ``--quick`` shrinks it for CI) against the
@@ -111,6 +112,7 @@ except ImportError:  # pragma: no cover - non-POSIX
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(1, str(ROOT))  # the reference oracles live in tests/
 
 import numpy as np
 
@@ -128,12 +130,18 @@ from repro.core.onion_groups import OnionGroupDirectory
 from repro.experiments.config import DEFAULT_CONFIG
 from repro.experiments.parallel import WorkerPool, run_parallel_batch
 from repro.experiments.runners import (
-    _legacy_security_montecarlo,
     run_random_graph_batch,
     run_trace_batch,
     sample_endpoints,
     security_montecarlo,
     security_sweep_montecarlo,
+)
+from repro.sim.engine import SimulationEngine
+from tests.oracles import (
+    BroadcastEngine,
+    IteratorEngine,
+    legacy_security_montecarlo,
+    runners_using,
 )
 
 MULTICOPY_COPIES = 4
@@ -282,12 +290,12 @@ def multicopy_benchmark(
     )
     rows = {}
     signatures = {}
-    for name, consume in (
-        ("columnar-multicopy", "columnar"),
-        ("kernel-multicopy", "kernel"),
+    for name, kernel in (
+        ("columnar-multicopy", False),
+        ("kernel-multicopy", True),
     ):
 
-        def batch(consume=consume):
+        def batch(kernel=kernel):
             return run_random_graph_batch(
                 graph,
                 group_size,
@@ -296,7 +304,7 @@ def multicopy_benchmark(
                 horizon=horizon,
                 sessions=sessions,
                 rng=np.random.default_rng(seed),
-                consume=consume,
+                kernel=kernel,
             )
 
         wall, pairs = _best_wall(batch, repeat)
@@ -342,12 +350,12 @@ def trace_benchmark(group_size, onion_routers, deadline, sessions, seed, repeat)
     generation, events = _best_wall(replay, repeat)
     rows = {}
     signatures = {}
-    for name, consume in (
-        ("columnar-trace", "columnar"),
-        ("kernel-trace", "kernel"),
+    for name, kernel in (
+        ("columnar-trace", False),
+        ("kernel-trace", True),
     ):
 
-        def batch(consume=consume):
+        def batch(kernel=kernel):
             return run_trace_batch(
                 trace,
                 group_size,
@@ -356,7 +364,7 @@ def trace_benchmark(group_size, onion_routers, deadline, sessions, seed, repeat)
                 deadline=deadline,
                 sessions=sessions,
                 rng=np.random.default_rng(seed),
-                consume=consume,
+                kernel=kernel,
             )
 
         wall, pairs = _best_wall(batch, repeat)
@@ -419,12 +427,9 @@ def security_benchmark(n, group_size, onion_routers, trials, seed, repeat):
             compromise_rate=SECURITY_COMPROMISE_RATE,
         )
         model = CompromiseModel(n, SECURITY_COMPROMISE_RATE)
-        scored = _legacy_security_montecarlo(
-            n, group_size, (variant,), model, trials,
-            np.random.default_rng(seed), False,
+        return legacy_security_montecarlo(
+            n, group_size, (variant,), model, trials, np.random.default_rng(seed)
         )
-        traceable, anonymity = scored[0]
-        return float(traceable.sum() / trials), float(anonymity.sum() / trials)
 
     rows = {}
     walls = {}
@@ -518,15 +523,14 @@ def security_benchmark(n, group_size, onion_routers, trials, seed, repeat):
 
 
 def security_backend_benchmark(n, group_size, trials, seed, repeat):
-    """Per-backend arms of the fused security sweep: numpy vs compiled/GPU.
+    """Per-backend arms of the fused security sweep: numpy vs compiled.
 
     One shared :class:`SecurityTrialBlock` (the figure-6-shaped grid's
     widest point) is scored through :class:`SecurityBatchKernel` once per
     backend — ``numpy`` (reference), the preferred compiled backend
-    (``numba``/``cc``), and ``cupy`` when a GPU is actually present — so
-    the arms time exactly the fused ``smallest_k_mask`` +
+    (``numba``/``cc``) — so the arms time exactly the fused ``smallest_k_mask`` +
     ``security_scores`` op chain over identical inputs. Each arm's
-    JIT/compile/device warm-up is paid by ``warmup()`` plus one throwaway
+    JIT/compile warm-up is paid by ``warmup()`` plus one throwaway
     scoring pass *before* the timer; the per-arm result digest (sha256
     over the concatenated traceable/anonymity arrays) must match the
     numpy reference bit-for-bit. Returns
@@ -536,11 +540,7 @@ def security_backend_benchmark(n, group_size, trials, seed, repeat):
         SecurityBatchKernel,
         sample_security_block,
     )
-    from repro.sim.backend import (
-        BACKENDS,
-        preferred_compiled_backend,
-        resolve_backend,
-    )
+    from repro.sim.backend import preferred_compiled_backend, resolve_backend
 
     # The figure-6 grid shape: every onion-router count the paper sweeps
     # (K = 1 … 10) crossed with the config's compromise rates, scored
@@ -576,14 +576,12 @@ def security_backend_benchmark(n, group_size, trials, seed, repeat):
     compiled = preferred_compiled_backend()
     if compiled is not None and compiled not in arm_names:
         arm_names.append(compiled)
-    if BACKENDS["cupy"].available() and "cupy" not in arm_names:
-        arm_names.append("cupy")
 
     rows = {}
     walls = {}
     digests = {}
     for name in arm_names:
-        # JIT/compile/device warm-up and one throwaway pass outside the
+        # JIT/compile warm-up and one throwaway pass outside the
         # timer, so the arms measure steady-state scoring only.
         resolve_backend(name).warmup()
         SecurityBatchKernel(block, model, backend=name).score(grid)
@@ -819,7 +817,7 @@ def parallel_benchmark(
     One columnar window is generated in the parent and registered in the
     pool-owned shared-memory arena; every worker chunk reattaches it and
     replays it through the batch kernels. The serial arm runs the same
-    seed through ``consume="kernel"`` — the strongest serial baseline, so
+    seed through the default kernel path — the strongest serial baseline, so
     ``speedup_vs_serial_kernel`` measures what parallelism adds on top of
     the kernels, not on top of a strawman. The merge must be byte-
     identical across worker counts (the default chunk layout is a pure
@@ -838,7 +836,6 @@ def parallel_benchmark(
             horizon=horizon,
             sessions=sessions,
             rng=np.random.default_rng(seed),
-            consume="kernel",
         )
 
     serial_wall, serial_pairs = _best_wall(serial, repeat)
@@ -894,7 +891,7 @@ def stream_benchmark(graph, group_size, onion_routers, seed, quick):
     """The streaming million-session path vs one-shot kernel consumption.
 
     Both arms run the same seeded workload with ``deadline`` far below the
-    horizon. The ``full`` arm (``consume="kernel"``) materialises the
+    horizon. The ``full`` arm (one horizon-wide window) materialises the
     entire event window before dispatching — its live event set exceeds
     the stated ceiling. The ``stream`` arm drains the source window by
     window under ``max_window_events``, never holding more than the
@@ -911,7 +908,7 @@ def stream_benchmark(graph, group_size, onion_routers, seed, quick):
     window = params["stream_window"]
     ceiling = params["max_window_events"]
 
-    def arm(consume, **knobs):
+    def arm(**knobs):
         def run():
             start = time.perf_counter()
             pairs = run_random_graph_batch(
@@ -923,7 +920,6 @@ def stream_benchmark(graph, group_size, onion_routers, seed, quick):
                 sessions=sessions,
                 rng=np.random.default_rng(seed),
                 deadline=deadline,
-                consume=consume,
                 **knobs,
             )
             wall = time.perf_counter() - start
@@ -962,9 +958,9 @@ def stream_benchmark(graph, group_size, onion_routers, seed, quick):
 
     _none, baseline_rss = _run_forked(lambda: None)
     counts, _rss = _run_forked(census)
-    full, full_rss = _run_forked(arm("kernel"))
+    full, full_rss = _run_forked(arm())
     stream, stream_rss = _run_forked(
-        arm("stream", stream_window=window, max_window_events=ceiling)
+        arm(stream_window=window, max_window_events=ceiling)
     )
 
     events = counts["events"]
@@ -1037,32 +1033,34 @@ def run_benchmark(
         )
         producer = producer_benchmark(graph, horizon, seed, repeat)
 
+        # broadcast / indexed time the reference oracles the engine's
+        # one run path replaced; columnar is that path with kernels off.
         batch_modes = (
-            ("broadcast", dict(dispatch="broadcast")),
-            ("indexed", dict(dispatch="indexed", consume="iterator")),
-            ("columnar", dict(dispatch="indexed", consume="columnar")),
-            ("kernel", dict(dispatch="indexed", consume="kernel")),
+            ("broadcast", BroadcastEngine, False),
+            ("indexed", IteratorEngine, False),
+            ("columnar", SimulationEngine, False),
+            ("kernel", SimulationEngine, True),
         )
         if mode == "kernel":
             # CI smoke subset: just the pair whose identity/speedup the
             # kernel acceptance criteria are quoted against.
             batch_modes = tuple(
-                (name, kwargs) for name, kwargs in batch_modes
-                if name in ("columnar", "kernel")
+                arm for arm in batch_modes if arm[0] in ("columnar", "kernel")
             )
-        for bench_mode, mode_kwargs in batch_modes:
+        for bench_mode, engine_cls, kernel in batch_modes:
 
-            def batch(mode_kwargs=mode_kwargs):
-                return run_random_graph_batch(
-                    graph,
-                    group_size,
-                    onion_routers,
-                    copies=copies,
-                    horizon=horizon,
-                    sessions=sessions,
-                    rng=np.random.default_rng(seed),
-                    **mode_kwargs,
-                )
+            def batch(engine_cls=engine_cls, kernel=kernel):
+                with runners_using(engine_cls):
+                    return run_random_graph_batch(
+                        graph,
+                        group_size,
+                        onion_routers,
+                        copies=copies,
+                        horizon=horizon,
+                        sessions=sessions,
+                        rng=np.random.default_rng(seed),
+                        kernel=kernel,
+                    )
 
             wall, pairs = _best_wall(batch, repeat)
             generation = _generation_seconds(
@@ -1153,7 +1151,7 @@ def run_benchmark(
             horizon=horizon,
             sessions=sessions,
             rng=np.random.default_rng(seed),
-            consume="columnar",
+            kernel=False,
         )
         profiler.disable()
         profiler.dump_stats(profile_path)

@@ -78,12 +78,6 @@ class CompromiseModel:
     #: Registry name; also reported in bench/figure metadata.
     name = "uniform"
 
-    #: Whether :meth:`mask_from_keys` honours the key-column contract.
-    #: Subclasses that only implement :meth:`sample` set this to ``False``
-    #: and the security kernel transparently degrades to the per-trial
-    #: scalar loop.
-    batch_capable = True
-
     def __init__(
         self,
         n: int,

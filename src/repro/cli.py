@@ -156,10 +156,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     figure.add_argument(
         "--kernel-backend",
-        choices=("numpy", "numba", "cc", "cupy"),
+        choices=("numpy", "numba", "cc"),
         default=None,
         help="kernel compute backend (default: $REPRO_KERNEL_BACKEND or "
-        "numpy; compiled/GPU backends degrade to numpy when unavailable, "
+        "numpy; compiled backends degrade to numpy when unavailable, "
         "outcomes are byte-identical either way; see `onion-dtn backends`)",
     )
     figure.add_argument("--markdown", action="store_true")
@@ -434,7 +434,7 @@ def _run_simulate(args: argparse.Namespace) -> int:
     from repro.sim.engine import SimulationEngine
     from repro.sim.message import Message
     from repro.sim.metrics import status_counts, summarize
-    from repro.utils.rng import ensure_rng
+    from repro.utils.rng import ensure_rng, spawn_rng
 
     faulty = (
         args.availability is not None
@@ -476,7 +476,10 @@ def _run_simulate(args: argparse.Namespace) -> int:
             custody_timeout=args.custody_timeout, max_retries=args.max_retries
         )
     outcomes = []
-    for _ in range(args.trials):
+    # Each trial's contact process draws from its own child stream: the
+    # engine draws a whole window before dispatch, so the process must not
+    # share a generator with the relays' per-receive drop draws.
+    for contact_rng in spawn_rng(rng, args.trials):
         # Fresh schedules each trial: engines restart the clock at zero and
         # the schedules are time-monotone.
         failstop = None
@@ -513,17 +516,12 @@ def _run_simulate(args: argparse.Namespace) -> int:
             session = SprayAndWaitSession(message, copies=args.copies)
         else:
             session = DirectDeliverySession(message)
-        events = ExponentialContactProcess(graph, rng=rng)
+        events = ExponentialContactProcess(graph, rng=contact_rng)
         if failstop is not None:
             events = FailStopContactProcess(events, failstop)
         if churn is not None:
             events = NodeChurnProcess(events, churn)
-        # Iterator consumption: trials share one generator and usually end
-        # well before the deadline, so the lazy legacy path both avoids
-        # generating events past delivery and keeps the historical
-        # cross-trial rng consumption (columnar would pre-draw the full
-        # window and shift every later trial's stream).
-        engine = SimulationEngine(events, horizon=args.deadline, consume="iterator")
+        engine = SimulationEngine(events, horizon=args.deadline)
         engine.add_session(session)
         engine.run()
         outcomes.append(session.outcome())
@@ -592,9 +590,7 @@ def _run_backends(args: argparse.Namespace) -> int:
         else:
             reason = cls.unavailable_reason() or "unavailable"
             status = f"unavailable — degrades to numpy: {reason}"
-        kind = "compiled" if cls.compiled else (
-            "gpu" if name == "cupy" else "reference"
-        )
+        kind = "compiled" if cls.compiled else "reference"
         print(f"  {name:<6} [{kind:>9}] {status}")
     if env_backend:
         print(f"${ENV_VAR}={env_backend} is set"

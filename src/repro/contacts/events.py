@@ -15,7 +15,10 @@ per-event object stream. The columnar and iterator modes consume the
 generator identically — for a fixed seed they emit the same events in the
 same order and leave the process in the same resumable state — so callers
 can mix the two freely. :class:`ColumnarEventSource` replays a precomputed
-block (e.g. one shipped to a worker process) through either interface.
+block (e.g. one shipped to a worker process) through either interface, and
+:class:`IteratorWindowSource` serves a per-event-only source (a fault
+filter, an impairment) as columnar windows; :func:`as_event_source` picks
+the right wrapper.
 """
 
 from __future__ import annotations
@@ -190,15 +193,46 @@ class ColumnarEventSource:
         )
 
 
+class IteratorWindowSource:
+    """Serve a per-event source (``events_until`` only) as columnar windows.
+
+    Fault filters and impairments transform the stream one event at a
+    time; this adapter drains such a source up to each requested horizon
+    into one :class:`EventBlock`. The whole window is drawn before the
+    engine dispatches any of it, so the wrapped source must not share a
+    random generator with anything that draws during dispatch (greyhole
+    relays, say) — the draws would interleave differently than under a
+    lazy per-event read. Give each its own generator.
+    """
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    def events_until(self, horizon: float) -> Iterator[ContactEvent]:
+        """The wrapped source's own per-event stream."""
+        return self._inner.events_until(horizon)
+
+    def events_until_columnar(self, horizon: float) -> EventBlock:
+        """The wrapped source's events with ``time <= horizon`` as one block."""
+        return EventBlock.from_events(self._inner.events_until(horizon))
+
+
 def as_event_source(events):
-    """Coerce ``events`` into an event source (blocks get a replay cursor)."""
+    """Coerce ``events`` into a columnar event source.
+
+    Blocks get a replay cursor (:class:`ColumnarEventSource`), sources with
+    only ``events_until`` get the :class:`IteratorWindowSource` adapter,
+    and columnar producers pass through unchanged.
+    """
     if isinstance(events, EventBlock):
         return ColumnarEventSource(events)
-    if not hasattr(events, "events_until"):
-        raise TypeError(
-            f"expected an event source or EventBlock, got {type(events).__name__}"
-        )
-    return events
+    if hasattr(events, "events_until_columnar"):
+        return events
+    if hasattr(events, "events_until"):
+        return IteratorWindowSource(events)
+    raise TypeError(
+        f"expected an event source or EventBlock, got {type(events).__name__}"
+    )
 
 
 class ExponentialContactProcess:

@@ -56,15 +56,18 @@ class JitteredContactProcess:
         self._inner = inner
         self._max_jitter = max_jitter
         self._rng = ensure_rng(rng)
+        self._pending: list[tuple[float, int, int]] = []
 
     def events_until(self, horizon: float) -> Iterator[ContactEvent]:
         """Yield jittered contacts, re-sorted to stay chronological.
 
         The reorder buffer is a heap of ``(time, a, b)`` tuples: each event
         costs ``O(log b)`` for a buffer of ``b`` in-flight events instead
-        of the ``O(b log b)`` of re-sorting a list per arrival.
+        of the ``O(b log b)`` of re-sorting a list per arrival. Contacts
+        jittered past ``horizon`` stay buffered for the next call, so
+        successive windowed reads yield exactly the one-shot stream.
         """
-        pending: list[tuple[float, int, int]] = []
+        pending = self._pending
         for event in self._inner.events_until(horizon):
             jitter = self._rng.uniform(0.0, self._max_jitter)
             heapq.heappush(pending, (event.time + jitter, event.a, event.b))
@@ -72,12 +75,10 @@ class JitteredContactProcess:
             # chronological, so nothing later can land before event.time
             while pending and pending[0][0] <= event.time:
                 time, a, b = heapq.heappop(pending)
-                if time <= horizon:
-                    yield ContactEvent(time=time, a=a, b=b)
-        while pending:
-            time, a, b = heapq.heappop(pending)
-            if time <= horizon:
                 yield ContactEvent(time=time, a=a, b=b)
+        while pending and pending[0][0] <= horizon:
+            time, a, b = heapq.heappop(pending)
+            yield ContactEvent(time=time, a=a, b=b)
 
 
 def thinned_graph(graph: ContactGraph, drop_prob: float) -> ContactGraph:

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-from scipy import stats
 
 from repro.contacts.graph import ContactGraph
 from repro.contacts.traces import ContactTrace
@@ -71,6 +70,8 @@ def fit_exponential(samples: np.ndarray) -> ExponentialFit:
     mean = float(samples.mean())
     if mean <= 0:
         raise ValueError("degenerate samples: zero mean gap")
+    from scipy import stats  # deferred: scipy.stats dominates import time
+
     statistic, p_value = stats.kstest(samples, "expon", args=(0, mean))
     return ExponentialFit(
         rate=1.0 / mean,

@@ -32,7 +32,6 @@ def delivery_sweep_series(
     sessions_per_graph: int,
     rng: RandomSource,
     workers: Workers = 1,
-    kernel: Optional[bool] = None,
     backend: Optional[str] = None,
 ) -> List[Tuple[Series, Series]]:
     """(Analysis, Simulation) series pairs for a fused parameter sweep.
@@ -47,10 +46,8 @@ def delivery_sweep_series(
     (deterministic for a fixed seed); one worker keeps the seed-exact
     serial behaviour.
 
-    ``kernel`` follows the runner convention: the default ``None`` lets
-    eligible fault-free single-copy *and* multi-copy batches run through
-    the struct-of-arrays kernels, with byte-identical outcomes either way.
-    ``backend`` names the kernel compute backend (``"numpy"``, ``"numba"``,
+    Eligible fault-free single-copy *and* multi-copy batches run through
+    the struct-of-arrays kernels. ``backend`` names the kernel compute backend (``"numpy"``, ``"numba"``,
     ``"cc"``; see :mod:`repro.sim.backend`) — outcomes are byte-identical
     across backends, only the sweep speed changes.
     """
@@ -81,7 +78,6 @@ def delivery_sweep_series(
             workers=workers,
             rng=graph_rng,
             shared_events=shared,
-            kernel=kernel,
             backend=backend,
             graph=graph,
             horizon=config.max_deadline,
@@ -118,7 +114,6 @@ def delivery_variant_series(
     rng: RandomSource,
     label: str,
     workers: Workers = 1,
-    kernel: Optional[bool] = None,
     backend: Optional[str] = None,
 ) -> Tuple[Series, Series]:
     """One (Analysis, Simulation) series pair for a single variant.
@@ -139,7 +134,6 @@ def delivery_variant_series(
         sessions_per_graph=sessions_per_graph,
         rng=rng,
         workers=workers,
-        kernel=kernel,
         backend=backend,
     )[0]
 
@@ -153,7 +147,6 @@ def _sweep_figure(
     sessions_per_graph: int,
     seed: RandomSource,
     workers: Workers,
-    kernel: Optional[bool],
     backend: Optional[str] = None,
 ) -> FigureResult:
     """Shared body of the fused delivery-rate figures."""
@@ -164,7 +157,6 @@ def _sweep_figure(
         sessions_per_graph=sessions_per_graph,
         rng=ensure_rng(seed),
         workers=workers,
-        kernel=kernel,
         backend=backend,
     )
     analysis = [a for a, _ in pairs]
@@ -186,7 +178,6 @@ def figure_04(
     sessions_per_graph: int = 40,
     seed: RandomSource = 4,
     workers: Workers = 1,
-    kernel: Optional[bool] = None,
     backend: Optional[str] = None,
 ) -> FigureResult:
     """Fig. 4 — delivery rate vs deadline for group sizes g ∈ {1, 5, 10}.
@@ -212,7 +203,6 @@ def figure_04(
         sessions_per_graph,
         seed,
         workers,
-        kernel,
         backend,
     )
 
@@ -224,7 +214,6 @@ def figure_05(
     sessions_per_graph: int = 40,
     seed: RandomSource = 5,
     workers: Workers = 1,
-    kernel: Optional[bool] = None,
     backend: Optional[str] = None,
 ) -> FigureResult:
     """Fig. 5 — delivery rate vs deadline for K ∈ {3, 5, 10} onion routers.
@@ -249,7 +238,6 @@ def figure_05(
         sessions_per_graph,
         seed,
         workers,
-        kernel,
         backend,
     )
 
@@ -261,7 +249,6 @@ def figure_10(
     sessions_per_graph: int = 40,
     seed: RandomSource = 10,
     workers: Workers = 1,
-    kernel: Optional[bool] = None,
     backend: Optional[str] = None,
 ) -> FigureResult:
     """Fig. 10 — delivery rate vs deadline for L ∈ {1, 3, 5} copies (g = 5).
@@ -291,6 +278,5 @@ def figure_10(
         sessions_per_graph,
         seed,
         workers,
-        kernel,
         backend,
     )

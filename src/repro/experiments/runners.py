@@ -120,23 +120,6 @@ def select_overlapping_route(
     )
 
 
-def _resolve_consume(consume: str, kernel: Optional[bool]) -> str:
-    """Fold the ``kernel`` knob into the engine's ``consume`` mode.
-
-    ``kernel=True`` forces ``consume="kernel"``; ``kernel=None`` (the
-    default) upgrades ``consume="auto"`` to the kernel path — eligible
-    sessions are swept by the struct-of-arrays kernels, everything else
-    falls back transparently, and outcomes are byte-identical either way —
-    while leaving an explicitly requested mode (``"columnar"``,
-    ``"iterator"``) untouched; ``kernel=False`` opts out entirely.
-    """
-    if kernel:
-        return "kernel"
-    if kernel is None and consume == "auto":
-        return "kernel"
-    return consume
-
-
 def _make_session(
     message: Message,
     route: OnionRoute,
@@ -166,10 +149,8 @@ def run_random_graph_batch(
     sessions: int,
     rng: RandomSource = None,
     spray_policy: SprayPolicy = SprayPolicy.SOURCE,
-    dispatch: str = "indexed",
     events=None,
-    consume: str = "auto",
-    kernel: Optional[bool] = None,
+    kernel: bool = True,
     deadline: Optional[float] = None,
     stream_window: Optional[float] = None,
     max_window_events: Optional[int] = None,
@@ -181,9 +162,6 @@ def run_random_graph_batch(
     random-membership group directory; all sessions share the same sampled
     contact process (they are read-only observers of it, so this is
     statistically equivalent to independent runs and much cheaper).
-    ``dispatch`` selects the engine strategy; ``indexed`` and ``broadcast``
-    produce byte-identical outcomes, as do the ``consume`` modes of the
-    indexed engine.
 
     ``events`` overrides the sampled contact process with a pre-generated
     source (an :class:`~repro.contacts.events.EventBlock` or any event
@@ -193,25 +171,24 @@ def run_random_graph_batch(
     draws sit at a different offset of the master stream than with
     ``events=None``.
 
-    ``kernel`` defaults to on (see :func:`_resolve_consume`): eligible
-    fault-free single-copy and multi-copy sessions are swept by the
-    struct-of-arrays kernels and everything else falls back to the
-    columnar object loop, with byte-identical outcomes. Pass
-    ``kernel=False`` (or an explicit ``consume``) to opt out.
+    ``kernel`` (default on) lets the engine sweep eligible fault-free
+    single-copy and multi-copy sessions with the struct-of-arrays kernels;
+    everything else runs through the object loop, with byte-identical
+    outcomes. ``kernel=False`` routes every session through the object
+    loop.
 
     ``deadline`` (default: ``horizon``) sets each message's deadline
     independently of the simulated window — the streaming million-session
     benchmarks use ``deadline << horizon`` so the batch finishes (and the
     stream loop exits early) long before the horizon. ``stream_window``
-    and ``max_window_events`` are the ``consume="stream"`` knobs (window
-    span and per-window event ceiling); they are forwarded to the engine
-    and only bite under the streaming consume mode.
+    and ``max_window_events`` bound the engine's resident event window
+    (window span and per-window event ceiling); by default the engine
+    consumes one horizon-wide window.
 
     ``backend`` selects the kernel compute backend (``"numpy"``,
     ``"numba"``, ``"cc"``; see :mod:`repro.sim.backend`) and is forwarded
     to the engine. Outcomes are byte-identical across backends.
     """
-    consume = _resolve_consume(consume, kernel)
     generator = ensure_rng(rng)
     directory = OnionGroupDirectory(graph.n, group_size, rng=generator)
     if events is None:
@@ -221,11 +198,9 @@ def run_random_graph_batch(
     engine = SimulationEngine(
         source,
         horizon=horizon,
-        dispatch=dispatch,
-        consume=consume,
         stream_window=stream_window,
         max_window_events=max_window_events,
-        stream_kernels=kernel is not False,
+        kernels=kernel,
         backend=backend,
     )
     message_deadline = horizon if deadline is None else deadline
@@ -256,10 +231,8 @@ def run_fused_graph_sweep(
     horizon: float,
     sessions_per_variant: int,
     rng: RandomSource = None,
-    dispatch: str = "indexed",
     events=None,
-    consume: str = "auto",
-    kernel: Optional[bool] = None,
+    kernel: bool = True,
     stream_window: Optional[float] = None,
     max_window_events: Optional[int] = None,
     backend: Optional[str] = None,
@@ -267,7 +240,7 @@ def run_fused_graph_sweep(
     """Simulate every grid point of a sweep over one shared event stream.
 
     All variants' sessions are registered in *one* engine and advanced in
-    *one* pass over one contact window — under the (default) kernel mode
+    *one* pass over one contact window — with kernels on (the default)
     that means a single struct-of-arrays invocation per kernel class for
     the entire grid. Each variant draws its own group directory, endpoints,
     and routes from the shared ``rng`` (in variant order, so the draw
@@ -278,7 +251,6 @@ def run_fused_graph_sweep(
     """
     if not variants:
         raise ValueError("run_fused_graph_sweep needs at least one variant")
-    consume = _resolve_consume(consume, kernel)
     generator = ensure_rng(rng)
     results: List[List[RouteOutcome]] = []
     engine: Optional[SimulationEngine] = None
@@ -297,11 +269,9 @@ def run_fused_graph_sweep(
             engine = SimulationEngine(
                 source,
                 horizon=horizon,
-                dispatch=dispatch,
-                consume=consume,
                 stream_window=stream_window,
                 max_window_events=max_window_events,
-                stream_kernels=kernel is not False,
+                kernels=kernel,
                 backend=backend,
             )
         pairs: List[RouteOutcome] = []
@@ -337,9 +307,8 @@ def run_faulty_graph_batch(
     failstop: Optional[FailStopSchedule] = None,
     relays=None,
     recovery: Optional[RecoveryPolicy] = None,
-    dispatch: str = "indexed",
     events=None,
-    kernel: Optional[bool] = None,
+    kernel: bool = True,
     backend: Optional[str] = None,
 ) -> List[RouteOutcome]:
     """:func:`run_random_graph_batch` under injected faults.
@@ -353,15 +322,15 @@ def run_faulty_graph_batch(
 
     ``events`` overrides the sampled base stream (shared-stream parallel
     chunks pass the parent's block here); the fault filters still wrap it,
-    and since they are per-event iterators the engine consumes the filtered
-    stream through the legacy iterator path.
+    and the engine reads the filtered stream window by window through
+    :func:`~repro.contacts.events.as_event_source`. Each window is drawn
+    before dispatch, so ``relays`` must not draw from ``rng`` when no
+    ``events`` override is given (the sampled stream draws from it).
 
-    ``kernel`` (default on) requests ``consume="kernel"``. It only bites
-    when no fault filter wraps the stream (iterator filters force the
-    legacy loop) and no :class:`~repro.faults.recovery.FaultPlan` is
-    attached — i.e. exactly when this call degenerates to the fault-free
-    batch — so it is safe to leave on in sweeps that include a fault-free
-    baseline.
+    ``kernel`` (default on) only bites when no
+    :class:`~repro.faults.recovery.FaultPlan` is attached — i.e. exactly
+    when this call degenerates to the fault-free batch — so it is safe to
+    leave on in sweeps that include a fault-free baseline.
     """
     generator = ensure_rng(rng)
     directory = OnionGroupDirectory(graph.n, group_size, rng=generator)
@@ -379,8 +348,7 @@ def run_faulty_graph_batch(
     engine = SimulationEngine(
         events,
         horizon=horizon,
-        dispatch=dispatch,
-        consume=_resolve_consume("auto", kernel),
+        kernels=kernel,
         backend=backend,
     )
     pairs: List[RouteOutcome] = []
@@ -449,24 +417,6 @@ def simulated_delivery_curve(
 # ----------------------------------------------------------------------
 # security Monte Carlo (contact-graph independent, §V-A)
 # ----------------------------------------------------------------------
-
-
-def sample_copy_paths(
-    route: OnionRoute, copies: int, rng: np.random.Generator
-) -> List[List[int]]:
-    """Sample the member each copy traverses in every onion group.
-
-    Copies occupy *distinct* members of a group while enough members exist
-    (the protocol's ``Forward()`` predicate never places two live copies on
-    one node); beyond that the assignment wraps around.
-    """
-    paths = [[route.source] for _ in range(copies)]
-    for members in route.groups:
-        order = rng.permutation(len(members))
-        for copy_index in range(copies):
-            member = members[order[copy_index % len(members)]]
-            paths[copy_index].append(int(member))
-    return paths
 
 
 @lru_cache(maxsize=32)
@@ -558,66 +508,6 @@ def _scalar_variant_scores(
     return traceable, anonymity
 
 
-def _legacy_security_montecarlo(
-    n: int,
-    group_size: int,
-    variants: Sequence[SecuritySweepVariant],
-    model: CompromiseModel,
-    trials: int,
-    generator: np.random.Generator,
-    overlapping: bool,
-) -> List[Tuple[np.ndarray, np.ndarray]]:
-    """Fully per-trial Monte Carlo for batch-incapable compromise models.
-
-    A model that only implements ``sample()`` cannot feed the shared key
-    column, so each variant runs the original draw-per-trial loop. The
-    model's own rate is the only one it can realise — mismatched variant
-    rates fail loudly instead of silently sampling the wrong adversary.
-    """
-    for variant in variants:
-        if variant.compromise_rate != model.rate:
-            raise ValueError(
-                f"compromise model {type(model).__name__} is not "
-                f"batch-capable and is pinned to rate={model.rate}; sweep "
-                f"variant {variant.label!r} asks for "
-                f"rate={variant.compromise_rate}"
-            )
-    scored: List[Tuple[np.ndarray, np.ndarray]] = []
-    for variant in variants:
-        eta = variant.onion_routers + 1
-        directory = (
-            None
-            if overlapping
-            else OnionGroupDirectory(n, group_size, rng=generator)
-        )
-        traceable = np.empty(trials)
-        anonymity = np.empty(trials)
-        for trial in range(trials):
-            source, destination = sample_endpoints(n, generator)
-            if overlapping:
-                route = select_overlapping_route(
-                    n,
-                    source,
-                    destination,
-                    variant.onion_routers,
-                    group_size,
-                    generator,
-                )
-            else:
-                route = directory.select_route(
-                    source, destination, variant.onion_routers, rng=generator
-                )
-            compromised = model.sample(rng=generator)
-            paths = sample_copy_paths(route, variant.copies, generator)
-            tracer = PathTracer(compromised)
-            traceable[trial] = tracer.traceable_rate(paths[0])
-            anonymity[trial] = observed_path_anonymity(
-                paths, compromised, n=n, eta=eta, group_size=group_size
-            )
-        scored.append((traceable, anonymity))
-    return scored
-
-
 def security_sweep_montecarlo(
     n: int,
     group_size: int,
@@ -651,16 +541,14 @@ def security_sweep_montecarlo(
     consume identical draws, so the estimates are equal to the last bit.
     ``compromise_model`` selects the adversary: a registry name
     (``uniform``, ``bernoulli``, ``targeted``, ``stake``) or a
-    :class:`~repro.adversary.compromise.CompromiseModel` instance; a
-    batch-incapable instance transparently degrades to the original
-    draw-per-trial loop.
+    :class:`~repro.adversary.compromise.CompromiseModel` instance.
 
     ``block`` supplies a pre-sampled (or zero-copy shared-memory attached)
     :class:`~repro.adversary.kernel.SecurityTrialBlock` instead of drawing
     one here — the parallel shared-block protocol slices one parent block
     across worker chunks. The block must cover the grid (matching ``n``,
     ``group_size``, ``overlapping``, ``trials``, and wide enough
-    ``k_max`` / ``l_max``) and requires a batch-capable compromise model.
+    ``k_max`` / ``l_max``).
     """
     variants = tuple(variants)
     if not variants:
@@ -674,11 +562,6 @@ def security_sweep_montecarlo(
     model = _resolve_compromise_model(compromise_model, n)
 
     if block is not None:
-        if not getattr(model, "batch_capable", False):
-            raise ValueError(
-                f"a pre-sampled block requires a batch-capable compromise "
-                f"model; {type(model).__name__} only implements sample()"
-            )
         k_max = max(v.onion_routers for v in variants)
         l_max = max(v.copies for v in variants)
         if (
@@ -698,30 +581,22 @@ def security_sweep_montecarlo(
                 f"k_max={k_max}, l_max={l_max})"
             )
 
-    if not getattr(model, "batch_capable", False):
-        scored = _legacy_security_montecarlo(
-            n, group_size, variants, model, trials, generator, overlapping
+    if block is None:
+        block = sample_security_block(
+            n,
+            group_size,
+            k_max=max(v.onion_routers for v in variants),
+            l_max=max(v.copies for v in variants),
+            trials=trials,
+            rng=generator,
+            overlapping=overlapping,
         )
+    if kernel is False:
+        scored = [
+            _scalar_variant_scores(block, model, variant) for variant in variants
+        ]
     else:
-        if block is None:
-            block = sample_security_block(
-                n,
-                group_size,
-                k_max=max(v.onion_routers for v in variants),
-                l_max=max(v.copies for v in variants),
-                trials=trials,
-                rng=generator,
-                overlapping=overlapping,
-            )
-        if kernel is False:
-            scored = [
-                _scalar_variant_scores(block, model, variant)
-                for variant in variants
-            ]
-        else:
-            scored = SecurityBatchKernel(block, model, backend=backend).score(
-                variants
-            )
+        scored = SecurityBatchKernel(block, model, backend=backend).score(variants)
 
     flat: List[float] = []
     for traceable, anonymity in scored:
@@ -870,9 +745,7 @@ def run_trace_batch(
     sessions: int,
     rng: RandomSource = None,
     overlapping: bool = False,
-    dispatch: str = "indexed",
-    consume: str = "auto",
-    kernel: Optional[bool] = None,
+    kernel: bool = True,
     stream_window: Optional[float] = None,
     max_window_events: Optional[int] = None,
     backend: Optional[str] = None,
@@ -890,7 +763,6 @@ def run_trace_batch(
     struct-of-arrays kernels directly over the replayed trace; see
     :func:`run_random_graph_batch`.
     """
-    consume = _resolve_consume(consume, kernel)
     generator = ensure_rng(rng)
     trace = trace.normalized()
     n = trace.n
@@ -903,11 +775,9 @@ def run_trace_batch(
     engine = SimulationEngine(
         TraceReplayProcess(trace),
         horizon=trace.end + 1.0,
-        dispatch=dispatch,
-        consume=consume,
         stream_window=stream_window,
         max_window_events=max_window_events,
-        stream_kernels=kernel is not False,
+        kernels=kernel,
         backend=backend,
     )
     pairs = _place_trace_sessions(
@@ -935,9 +805,7 @@ def run_fused_trace_sweep(
     sessions_per_variant: int,
     rng: RandomSource = None,
     overlapping: bool = False,
-    dispatch: str = "indexed",
-    consume: str = "auto",
-    kernel: Optional[bool] = None,
+    kernel: bool = True,
     stream_window: Optional[float] = None,
     max_window_events: Optional[int] = None,
     backend: Optional[str] = None,
@@ -955,7 +823,6 @@ def run_fused_trace_sweep(
     """
     if not variants:
         raise ValueError("run_fused_trace_sweep needs at least one variant")
-    consume = _resolve_consume(consume, kernel)
     generator = ensure_rng(rng)
     trace = trace.normalized()
     n = trace.n
@@ -965,11 +832,9 @@ def run_fused_trace_sweep(
     engine = SimulationEngine(
         TraceReplayProcess(trace),
         horizon=trace.end + 1.0,
-        dispatch=dispatch,
-        consume=consume,
         stream_window=stream_window,
         max_window_events=max_window_events,
-        stream_kernels=kernel is not False,
+        kernels=kernel,
         backend=backend,
     )
     results: List[List[RouteOutcome]] = []

@@ -8,9 +8,7 @@ Each figure's whole (compromise-rate c, onion-count K, copies L) grid runs
 as ONE fused Monte Carlo call per group size: the grid points share a
 single :class:`~repro.adversary.kernel.SecurityTrialBlock` (common random
 numbers), and the :class:`~repro.adversary.kernel.SecurityBatchKernel`
-scores every point without per-trial Python objects. ``kernel=False``
-walks the same block through the scalar per-trial objects — identical
-series, the delivery runners' opt-out convention.
+scores every point without per-trial Python objects.
 """
 
 from __future__ import annotations
@@ -54,7 +52,6 @@ def fused_security_points(
     workers: Workers,
     rng: RandomSource,
     overlapping: bool = False,
-    kernel: "bool | None" = None,
     compromise_model: CompromiseModelSpec = "uniform",
     backend: "str | None" = None,
 ) -> List[Tuple[float, float]]:
@@ -82,7 +79,6 @@ def fused_security_points(
         workers=workers,
         rng=rng,
         overlapping=overlapping,
-        kernel=kernel,
         compromise_model=compromise_model,
         backend=backend,
     )
@@ -95,7 +91,6 @@ def figure_06(
     trials: int = 2000,
     seed: RandomSource = 6,
     workers: Workers = 1,
-    kernel: "bool | None" = None,
     compromise_model: CompromiseModelSpec = "uniform",
     backend: "str | None" = None,
 ) -> FigureResult:
@@ -125,7 +120,6 @@ def figure_06(
         trials,
         workers,
         generator,
-        kernel=kernel,
         compromise_model=compromise_model,
         backend=backend,
     )
@@ -152,7 +146,6 @@ def figure_07(
     trials: int = 2000,
     seed: RandomSource = 7,
     workers: Workers = 1,
-    kernel: "bool | None" = None,
     compromise_model: CompromiseModelSpec = "uniform",
     backend: "str | None" = None,
 ) -> FigureResult:
@@ -181,7 +174,6 @@ def figure_07(
         trials,
         workers,
         generator,
-        kernel=kernel,
         compromise_model=compromise_model,
         backend=backend,
     )
@@ -207,7 +199,6 @@ def figure_08(
     trials: int = 2000,
     seed: RandomSource = 8,
     workers: Workers = 1,
-    kernel: "bool | None" = None,
     compromise_model: CompromiseModelSpec = "uniform",
     backend: "str | None" = None,
 ) -> FigureResult:
@@ -237,7 +228,6 @@ def figure_08(
             trials,
             workers,
             generator,
-            kernel=kernel,
             compromise_model=compromise_model,
             backend=backend,
         )
@@ -262,7 +252,6 @@ def figure_09(
     trials: int = 2000,
     seed: RandomSource = 9,
     workers: Workers = 1,
-    kernel: "bool | None" = None,
     compromise_model: CompromiseModelSpec = "uniform",
     backend: "str | None" = None,
 ) -> FigureResult:
@@ -293,7 +282,6 @@ def figure_09(
                 trials,
                 workers,
                 generator,
-                kernel=kernel,
                 compromise_model=compromise_model,
                 backend=backend,
             )
@@ -320,7 +308,6 @@ def figure_12(
     trials: int = 2000,
     seed: RandomSource = 12,
     workers: Workers = 1,
-    kernel: "bool | None" = None,
     compromise_model: CompromiseModelSpec = "uniform",
     backend: "str | None" = None,
 ) -> FigureResult:
@@ -358,7 +345,6 @@ def figure_12(
         trials,
         workers,
         generator,
-        kernel=kernel,
         compromise_model=compromise_model,
         backend=backend,
     )
@@ -386,7 +372,6 @@ def figure_13(
     trials: int = 2000,
     seed: RandomSource = 13,
     workers: Workers = 1,
-    kernel: "bool | None" = None,
     compromise_model: CompromiseModelSpec = "uniform",
     backend: "str | None" = None,
 ) -> FigureResult:
@@ -423,7 +408,6 @@ def figure_13(
                 trials,
                 workers,
                 generator,
-                kernel=kernel,
                 compromise_model=compromise_model,
                 backend=backend,
             )

@@ -22,16 +22,6 @@ backends:
     by the system C compiler into a content-addressed cached shared
     library and driven through :mod:`ctypes`. Zero extra Python
     dependencies; available wherever ``cc``/``gcc`` is on ``PATH``.
-``cupy``
-    A GPU (CUDA) backend for the security Monte Carlo's embarrassingly
-    parallel trial blocks: the security ops ship trial rows to the
-    device in bounded chunks and compute there with CuPy's numpy-
-    compatible array operations; the sequential delivery-trajectory ops
-    delegate to numpy (a per-session event walk does not map onto the
-    GPU). Requires the ``cupy`` package *and* a visible CUDA device —
-    anything less degrades to numpy exactly like the other compiled
-    backends, so GPU-less machines and CI exercise the seam without
-    skipping logic.
 
 Backends are *selected by name* — through the ``backend=`` knob threaded
 from the CLI/figure runners down to the kernels, or ambiently through the
@@ -72,7 +62,6 @@ __all__ = [
     "NumpyBackend",
     "NumbaBackend",
     "CcBackend",
-    "CupyBackend",
     "available_backends",
     "check_backend_name",
     "preferred_compiled_backend",
@@ -1209,161 +1198,6 @@ class CcBackend(KernelBackend):
         return sums, exposed
 
 
-class CupyBackend(KernelBackend):
-    """GPU (CUDA) backend for the security Monte Carlo's trial blocks.
-
-    The security ops ship trial rows to the device in bounded chunks
-    (:data:`CHUNK_TRIALS` rows per transfer, so host↔device staging stays
-    a fixed-size buffer no matter the trial count) and compute there with
-    CuPy's numpy-compatible array API. The sequential delivery-trajectory
-    ops delegate to the numpy singleton — a per-session event walk does
-    not map onto the GPU — and ``compiled`` stays False so the delivery
-    kernels keep their vectorized per-round path. Requires the ``cupy``
-    package *and* a visible CUDA device; anything less degrades to numpy
-    through :func:`resolve_backend` like every other compiled backend.
-    """
-
-    name = "cupy"
-    compiled = False
-    _cupy = None
-
-    #: Trial rows shipped to the device per transfer.
-    CHUNK_TRIALS = 65536
-
-    @classmethod
-    def _module(cls):
-        if cls._cupy is None:
-            import cupy
-
-            if cupy.cuda.runtime.getDeviceCount() < 1:
-                raise RuntimeError("no visible CUDA device")
-            cls._cupy = cupy
-        return cls._cupy
-
-    @classmethod
-    def available(cls) -> bool:
-        if cls._cupy is not None:
-            return True
-        try:
-            cls._module()
-        except Exception:
-            return False
-        return True
-
-    @classmethod
-    def unavailable_reason(cls) -> Optional[str]:
-        if cls._cupy is not None:
-            return None
-        try:
-            import cupy
-        except Exception:
-            return (
-                "the 'cupy' package is not installed "
-                "(pip install cupy-cuda12x for your CUDA version)"
-            )
-        try:
-            if cupy.cuda.runtime.getDeviceCount() < 1:
-                return "cupy is installed but no CUDA device is visible"
-        except Exception as error:
-            return f"cupy is installed but the CUDA runtime failed: {error}"
-        return None
-
-    def __init__(self):
-        self._cp = self._module()
-        self._numpy = _instantiate("numpy")
-
-    def warmup(self) -> None:
-        # Touch each security op once: first-call device allocation and
-        # kernel compilation happen here, not inside a benchmark timer.
-        self.smallest_k_mask(np.array([[0.5, 0.25, 0.75]]), 2)
-        self.security_scores(
-            np.array([[True, False]]),
-            np.zeros(1, dtype=np.int64),
-            np.zeros((1, 1, 1), dtype=np.int64),
-            1,
-            1,
-        )
-        self.run_length_square_sums(np.array([[1, 0, 1]], dtype=np.int8))
-
-    # -- delivery ops: CPU delegation ----------------------------------
-
-    def single_next_events(self, *args):
-        return self._numpy.single_next_events(*args)
-
-    def multi_next_events(self, *args):
-        return self._numpy.multi_next_events(*args)
-
-    # -- security ops: chunked device execution ------------------------
-
-    def run_length_square_sums(self, bits):
-        cp = self._cp
-        rows = np.ascontiguousarray(bits, dtype=np.int8)
-        trials, eta = rows.shape
-        out = np.empty(trials, dtype=np.int64)
-        for start in range(0, trials, self.CHUNK_TRIALS):
-            stop = min(start + self.CHUNK_TRIALS, trials)
-            chunk = cp.asarray(rows[start:stop]).astype(cp.int64)
-            run = cp.zeros(stop - start, dtype=cp.int64)
-            total = cp.zeros(stop - start, dtype=cp.int64)
-            # cupy has no ufunc.reduceat; eta is tiny (K+1), so an O(eta)
-            # column sweep with the run/total recurrence is exact and
-            # cheap: a closed run contributes run², an open one extends.
-            for k in range(eta):
-                col = chunk[:, k]
-                total += (1 - col) * run * run
-                run = (run + 1) * col
-            total += run * run
-            out[start:stop] = cp.asnumpy(total)
-        return out
-
-    def smallest_k_mask(self, priority, count):
-        cp = self._cp
-        priority = np.ascontiguousarray(priority, dtype=np.float64)
-        trials, n = priority.shape
-        mask = np.zeros((trials, n), dtype=bool)
-        if count <= 0:
-            return mask
-        for start in range(0, trials, self.CHUNK_TRIALS):
-            stop = min(start + self.CHUNK_TRIALS, trials)
-            chunk = cp.asarray(priority[start:stop])
-            kth = cp.partition(chunk, count - 1, axis=1)[:, count - 1 : count]
-            mask[start:stop] = cp.asnumpy(chunk <= kth)
-        return mask
-
-    def security_scores(self, mask, sources, copy_members, onion_routers, copies):
-        cp = self._cp
-        trials = len(sources)
-        sums = np.empty(trials, dtype=np.int64)
-        exposed = np.empty(trials, dtype=np.int64)
-        src_all = _i64(sources)
-        members_all = np.ascontiguousarray(
-            copy_members[:, :onion_routers, :copies], dtype=np.int64
-        )
-        bits_all = np.ascontiguousarray(mask, dtype=np.int8)
-        for start in range(0, trials, self.CHUNK_TRIALS):
-            stop = min(start + self.CHUNK_TRIALS, trials)
-            m = cp.asarray(bits_all[start:stop])
-            src = cp.asarray(src_all[start:stop])
-            members = cp.asarray(members_all[start:stop])
-            rows = cp.arange(stop - start)
-            src_bit = m[rows, src].astype(cp.int64)
-            hop_bits = m[rows[:, None], members[:, :, 0]].astype(cp.int64)
-            run = src_bit  # bit 0 of the sender chain is the source
-            total = cp.zeros(stop - start, dtype=cp.int64)
-            for k in range(onion_routers):
-                col = hop_bits[:, k]
-                total += (1 - col) * run * run
-                run = (run + 1) * col
-            total += run * run
-            exposed_chunk = (
-                m[rows[:, None, None], members].any(axis=2).sum(axis=1)
-                + src_bit
-            )
-            sums[start:stop] = cp.asnumpy(total)
-            exposed[start:stop] = cp.asnumpy(exposed_chunk.astype(cp.int64))
-        return sums, exposed
-
-
 def _warmup_compiled(backend: KernelBackend) -> None:
     """Run every compiled op once on a one-event toy problem.
 
@@ -1430,7 +1264,6 @@ BACKENDS: Dict[str, type] = {
     "numpy": NumpyBackend,
     "numba": NumbaBackend,
     "cc": CcBackend,
-    "cupy": CupyBackend,
 }
 
 _instances: Dict[str, KernelBackend] = {}
@@ -1449,7 +1282,6 @@ def _reset_backend_caches() -> None:
     _instances.clear()
     NumbaBackend._jitted = None
     CcBackend._lib = None
-    CupyBackend._cupy = None
 
 
 def available_backends() -> Tuple[str, ...]:
@@ -1460,13 +1292,8 @@ def available_backends() -> Tuple[str, ...]:
 
 
 def preferred_compiled_backend() -> Optional[str]:
-    """The best available compiled backend name (numba first), or None.
-
-    ``cupy`` ranks last: it accelerates only the security ops (its
-    delivery ops delegate to numpy), so a CPU-compiled backend that
-    covers the whole op surface wins when both are present.
-    """
-    for name in ("numba", "cc", "cupy"):
+    """The best available compiled backend name (numba first), or None."""
+    for name in ("numba", "cc"):
         if BACKENDS[name].available():
             return name
     return None

@@ -102,9 +102,9 @@ logger = logging.getLogger(__name__)
 class _EventIndex:
     """Composite ``(pair key, event index)`` ordering of one block.
 
-    Within one unordered node pair the stable argsort keeps chronological
-    order, so "first event of pair P at index >= c" is a single
-    :func:`numpy.searchsorted` against ``key * stride + index``. Both
+    Sorting ``key * stride + index`` keeps each unordered node pair's
+    events in chronological order, so "first event of pair P at index
+    >= c" is a single :func:`numpy.searchsorted` against it. Both
     kernels build their queries against this structure; ``min_nodes``
     widens the key space to cover session nodes absent from the block.
     """
@@ -120,8 +120,11 @@ class _EventIndex:
         lo = np.minimum(self.events_a, self.events_b)
         hi = np.maximum(self.events_a, self.events_b)
         event_key = lo * self.n_nodes + hi
-        key_order = np.argsort(event_key, kind="stable")
-        self.sorted_comp = event_key[key_order] * self.stride + key_order
+        # Composite keys are unique, so a plain sort gives the stable
+        # pair-key order without an argsort and gather.
+        self.sorted_comp = np.sort(
+            event_key * self.stride + np.arange(self.n_events, dtype=np.int64)
+        )
 
     def first_events(
         self,
@@ -287,7 +290,7 @@ class BatchKernel(_KernelBackendMixin):
     a pure array search. Faulted, recovering, or keyring-carrying sessions
     must go through the engine's columnar object path;
     :class:`~repro.sim.engine.SimulationEngine` performs that split
-    transparently under ``consume="kernel"``.
+    transparently.
     """
 
     mode = "kernel-single"

@@ -8,8 +8,9 @@ not statistically, bit-for-bit: both paths consume the same sampled draws,
 the run-length sums are small exact integers, and the anonymity values come
 from the same ``path_anonymity_exact`` evaluations. These tests check the
 claim across grid shapes, compromise models, topologies, figure series, the
-legacy per-trial fallback for batch-incapable models, and the
-kernel→scalar degradation rung of the parallel chunk ladder.
+legacy per-trial oracle (:func:`tests.oracles.legacy_security_montecarlo`)
+for ``sample()``-only models, and the kernel→scalar degradation rung of
+the parallel chunk ladder.
 """
 
 import numpy as np
@@ -34,6 +35,7 @@ from repro.experiments.runners import (
     security_montecarlo,
     security_sweep_montecarlo,
 )
+from tests.oracles import legacy_security_montecarlo
 
 
 def variant(onion_routers=3, copies=1, rate=0.1):
@@ -165,31 +167,61 @@ class TestFusedSweepEquivalence:
 # ----------------------------------------------------------------------
 
 
+def simulated_values(result):
+    """A figure's simulated y values, series by series."""
+    return [
+        y
+        for series in result.series
+        if series.label.startswith("Simulation")
+        for _, y in series.points
+    ]
+
+
+def scalar_values(n, group_size, grid, seed, metric):
+    """The figure's fused grid scored through the per-trial scalar walk."""
+    flat = security_sweep_montecarlo(
+        n,
+        group_size,
+        tuple(variant(k, copies, rate) for k, copies, rate in grid),
+        150,
+        rng=seed,
+        kernel=False,
+    )
+    return list(flat[metric::2])
+
+
 class TestFigureSeriesEquivalence:
     def test_figure_06_series_identical(self):
+        from repro.experiments.config import DEFAULT_CONFIG as config
         from repro.experiments.security_figs import figure_06
 
-        kernel = figure_06(trials=150)
-        scalar = figure_06(trials=150, kernel=False)
-        for a, b in zip(kernel.series, scalar.series):
-            assert a.label == b.label
-            assert a.points == b.points
+        grid = [(k, 1, rate) for k in (3, 5, 10) for rate in config.compromise_rates]
+        assert simulated_values(figure_06(trials=150)) == scalar_values(
+            config.n, config.group_size, grid, seed=6, metric=0
+        )
 
     def test_figure_12_series_identical(self):
+        from repro.experiments.config import DEFAULT_CONFIG
         from repro.experiments.security_figs import figure_12
 
-        kernel = figure_12(trials=150)
-        scalar = figure_12(trials=150, kernel=False)
-        for a, b in zip(kernel.series, scalar.series):
-            assert a.points == b.points
+        config = DEFAULT_CONFIG.with_(group_size=5)
+        grid = [
+            (config.onion_routers, copies, rate)
+            for copies in (1, 3, 5)
+            for rate in config.compromise_rates
+        ]
+        assert simulated_values(figure_12(trials=150)) == scalar_values(
+            config.n, 5, grid, seed=12, metric=1
+        )
 
     def test_figure_19_series_identical(self):
         from repro.experiments.trace_figs import figure_19
 
-        kernel = figure_19(trials=150)
-        scalar = figure_19(trials=150, kernel=False)
-        for a, b in zip(kernel.series, scalar.series):
-            assert a.points == b.points
+        rates = tuple(c / 100 for c in range(5, 51, 5))
+        grid = [(3, copies, rate) for copies in (1, 3, 5) for rate in rates]
+        assert simulated_values(figure_19(trials=150)) == scalar_values(
+            41, 5, grid, seed=19, metric=1
+        )
 
     def test_figure_metadata_names_the_adversary(self):
         from repro.experiments.security_figs import figure_08
@@ -206,25 +238,23 @@ class TestFigureSeriesEquivalence:
 class _PerTrialOnly(CompromiseModel):
     """A custom adversary that only knows how to sample one trial."""
 
-    batch_capable = False
-
 
 class TestIneligibleModels:
     def test_ineligible_model_runs_legacy_loop(self):
         model = _PerTrialOnly(50, 0.2)
-        traceable, anonymity = security_montecarlo(
-            50, 3, 3, 1, 0.2, 200, rng=17, compromise_model=model
+        traceable, anonymity = legacy_security_montecarlo(
+            50, 3, (variant(3, 1, 0.2),), model, 200, rng=17
         )
         assert 0.0 <= traceable <= 1.0
         assert 0.0 <= anonymity <= 1.0
 
     def test_ineligible_model_is_deterministic(self):
         model = _PerTrialOnly(50, 0.2)
-        first = security_montecarlo(
-            50, 3, 3, 1, 0.2, 200, rng=17, compromise_model=model
+        first = legacy_security_montecarlo(
+            50, 3, (variant(3, 1, 0.2),), model, 200, rng=17
         )
-        second = security_montecarlo(
-            50, 3, 3, 1, 0.2, 200, rng=17, compromise_model=model
+        second = legacy_security_montecarlo(
+            50, 3, (variant(3, 1, 0.2),), model, 200, rng=17
         )
         assert first == second
 
@@ -235,16 +265,12 @@ class TestIneligibleModels:
         model = _PerTrialOnly(50, 0.2)
         grid = (variant(3, 1, 0.2), variant(3, 1, 0.4))
         with pytest.raises(ValueError, match="pinned to rate"):
-            security_sweep_montecarlo(
-                50, 3, grid, 100, rng=0, compromise_model=model
-            )
+            legacy_security_montecarlo(50, 3, grid, model, 100, rng=0)
 
     def test_matching_rate_grid_allowed(self):
         model = _PerTrialOnly(50, 0.2)
         grid = (variant(3, 1, 0.2), variant(5, 3, 0.2))
-        flat = security_sweep_montecarlo(
-            50, 3, grid, 100, rng=0, compromise_model=model
-        )
+        flat = legacy_security_montecarlo(50, 3, grid, model, 100, rng=0)
         assert len(flat) == 4
 
     def test_model_population_mismatch_rejected(self):

@@ -176,7 +176,7 @@ class TestBackends:
     def test_lists_every_registered_backend(self, capsys):
         assert main(["backends"]) == 0
         out = capsys.readouterr().out
-        for name in ("numpy", "numba", "cc", "cupy"):
+        for name in ("numpy", "numba", "cc"):
             assert name in out
         # numpy is the always-available reference and the default.
         assert "(default)" in out

@@ -1,4 +1,4 @@
-"""Columnar event pipeline: block format, producer equivalence, engine modes.
+"""Columnar event pipeline: block format, producer equivalence, engine loop.
 
 The load-bearing property of the whole pipeline is *seed-exactness*: for a
 fixed seed, the columnar producers must emit exactly the events the legacy
@@ -25,6 +25,7 @@ from repro.contacts.synthetic import cambridge_like_trace
 from repro.contacts.traces import ContactRecord, ContactTrace
 from repro.experiments.runners import run_random_graph_batch, run_trace_batch
 from repro.sim.engine import SimulationEngine
+from tests.oracles import ORACLES, runners_using
 
 
 def _events_tuples(events):
@@ -222,18 +223,18 @@ class TestEngineConsumeModes:
             10, (10.0, 120.0), rng=np.random.default_rng(0)
         )
         process = ExponentialContactProcess(graph, rng=np.random.default_rng(0))
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             SimulationEngine(process, horizon=10.0, consume="bogus")
 
         class IteratorOnly:
             def events_until(self, horizon):
                 return iter(())
 
-        with pytest.raises(ValueError):
-            SimulationEngine(IteratorOnly(), horizon=10.0, consume="columnar")
-        # auto degrades to the iterator loop instead of failing.
-        engine = SimulationEngine(IteratorOnly(), horizon=10.0, consume="auto")
-        assert engine.consume == "auto"
+        with pytest.raises(TypeError, match="event source"):
+            SimulationEngine(object(), horizon=10.0)
+        # An iterator-only source is adapted to columnar windows.
+        SimulationEngine(IteratorOnly(), horizon=10.0)
+        assert len(as_event_source(IteratorOnly()).events_until_columnar(10.0)) == 0
 
     @pytest.mark.parametrize("seed", [11, 29])
     def test_random_batch_modes_identical(self, seed):
@@ -241,15 +242,12 @@ class TestEngineConsumeModes:
             25, (10.0, 120.0), rng=np.random.default_rng(seed)
         )
         sigs = {}
-        for mode, kwargs in (
-            ("broadcast", dict(dispatch="broadcast")),
-            ("iterator", dict(consume="iterator")),
-            ("columnar", dict(consume="columnar")),
-        ):
-            pairs = run_random_graph_batch(
-                graph, 4, 2, copies=1, horizon=360.0, sessions=60,
-                rng=np.random.default_rng(seed), **kwargs,
-            )
+        for mode in ("broadcast", "iterator", "columnar"):
+            with runners_using(ORACLES.get(mode, SimulationEngine)):
+                pairs = run_random_graph_batch(
+                    graph, 4, 2, copies=1, horizon=360.0, sessions=60,
+                    rng=np.random.default_rng(seed), kernel=False,
+                )
             sigs[mode] = _signature(pairs)
         assert sigs["broadcast"] == sigs["iterator"] == sigs["columnar"]
 
@@ -261,10 +259,11 @@ class TestEngineConsumeModes:
         )
         sigs = {}
         for mode in ("iterator", "columnar"):
-            pairs = run_random_graph_batch(
-                graph, 4, 2, copies=3, horizon=360.0, sessions=30,
-                rng=np.random.default_rng(8), consume=mode,
-            )
+            with runners_using(ORACLES.get(mode, SimulationEngine)):
+                pairs = run_random_graph_batch(
+                    graph, 4, 2, copies=3, horizon=360.0, sessions=30,
+                    rng=np.random.default_rng(8), kernel=False,
+                )
             sigs[mode] = _signature(pairs)
         assert sigs["iterator"] == sigs["columnar"]
 
@@ -272,11 +271,12 @@ class TestEngineConsumeModes:
         trace = cambridge_like_trace(rng=np.random.default_rng(21))
         sigs = {}
         for mode in ("iterator", "columnar"):
-            pairs = run_trace_batch(
-                trace, group_size=4, onion_routers=2, copies=1,
-                deadline=3600.0, sessions=25,
-                rng=np.random.default_rng(21), consume=mode,
-            )
+            with runners_using(ORACLES.get(mode, SimulationEngine)):
+                pairs = run_trace_batch(
+                    trace, group_size=4, onion_routers=2, copies=1,
+                    deadline=3600.0, sessions=25,
+                    rng=np.random.default_rng(21), kernel=False,
+                )
             sigs[mode] = _signature(pairs)
         assert sigs["iterator"] == sigs["columnar"]
 
@@ -307,7 +307,8 @@ class TestEngineConsumeModes:
             process = ExponentialContactProcess(
                 graph, rng=np.random.default_rng(6)
             )
-            engine = SimulationEngine(process, horizon=120.0, consume=mode)
+            engine_cls = ORACLES.get(mode, SimulationEngine)
+            engine = engine_cls(process, horizon=120.0)
             recorder = engine.add_session(Recorder())
             engine.run()
             counts[mode] = engine.events_processed

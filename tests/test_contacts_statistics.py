@@ -115,3 +115,31 @@ class TestSummaries:
         graph = ContactGraph(np.zeros((3, 3)))
         with pytest.raises(ValueError, match="no positive-rate"):
             graph_rate_percentiles(graph)
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about a second to import and only fit_exponential
+    # needs it, so the CLI must start without it.
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    result = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, repro.cli; print('scipy.stats' in sys.modules)",
+        ],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -16,13 +16,13 @@ from repro.experiments.runners import (
     estimate_active_span,
     run_random_graph_batch,
     run_trace_batch,
-    sample_copy_paths,
     sample_endpoints,
     security_montecarlo,
     select_overlapping_route,
     simulated_delivery_curve,
     trace_contact_graph,
 )
+from tests.oracles import sample_copy_paths
 from repro.faults.failstop import FailStopSchedule
 from repro.faults.churn import NodeChurnSchedule
 from repro.faults.recovery import RecoveryPolicy

@@ -42,7 +42,6 @@ from repro.sim.backend import (
     BACKENDS,
     ENV_VAR,
     CcBackend,
-    CupyBackend,
     KernelBackend,
     NumbaBackend,
     NumpyBackend,
@@ -140,16 +139,12 @@ class TestRegistry:
         assert resolve_backend(None).name == "numpy"
 
     def test_preferred_compiled_backend_ranking(self):
-        # numba > cc > cupy: the GPU backend ranks last because its
-        # delivery ops delegate to numpy — it only accelerates the
-        # security ops.
+        # numba > cc.
         preferred = preferred_compiled_backend()
         if NumbaBackend.available():
             assert preferred == "numba"
         elif CcBackend.available():
             assert preferred == "cc"
-        elif CupyBackend.available():
-            assert preferred == "cupy"
         else:
             assert preferred is None
 
@@ -198,7 +193,6 @@ class TestUnavailableFallback:
             engine = SimulationEngine(
                 ColumnarEventSource(block),
                 horizon=360.0,
-                consume="kernel",
                 backend=backend,
             )
             batch = fresh()
@@ -274,7 +268,6 @@ class TestCompiledIdentity:
                 horizon=360.0,
                 sessions=40,
                 rng=np.random.default_rng(5),
-                consume="kernel",
                 backend=name,
             )
             runs[name] = outcome_fields(outcome for _, outcome in pairs)
@@ -380,7 +373,6 @@ class TestMidRunDegradation:
                 horizon=360.0,
                 sessions=30,
                 rng=np.random.default_rng(5),
-                consume="kernel",
                 backend=backend,
             )
 
@@ -403,7 +395,6 @@ class TestMidRunDegradation:
         engine = SimulationEngine(
             ColumnarEventSource(block),
             horizon=360.0,
-            consume="kernel",
             backend="cc",
         )
         for session in fresh():
@@ -439,9 +430,7 @@ class TestKernelBookkeeping:
 
     def test_engine_kernel_stats_exposed(self):
         fresh, block = single_copy_workload(sessions=20)
-        engine = SimulationEngine(
-            ColumnarEventSource(block), horizon=360.0, consume="kernel"
-        )
+        engine = SimulationEngine(ColumnarEventSource(block), horizon=360.0)
         for session in fresh():
             engine.add_session(session)
         engine.run()
@@ -455,7 +444,6 @@ class TestKernelBookkeeping:
             SimulationEngine(
                 ColumnarEventSource(block),
                 horizon=360.0,
-                consume="kernel",
                 backend="fortran",
             )
         with pytest.raises(ValueError, match="unknown kernel backend"):

@@ -6,10 +6,8 @@ compromise-set selection behind every fixed-count strategy) and the
 fused ``security_scores`` pass (Eq. 1 run-length square sums + Eq. 20
 exposure counts) must be byte-identical across numpy and every compiled
 backend available here, for every built-in compromise model and mixed
-fused grids; a compiled op that fails mid-run degrades to numpy without
-changing outcomes; and the GPU (cupy) backend resolves to numpy with a
-``KernelFallback`` event — never an error — wherever CuPy or a CUDA
-device is absent, which includes every CI runner.
+fused grids; and a compiled op that fails mid-run degrades to numpy
+without changing outcomes.
 """
 
 import numpy as np
@@ -28,20 +26,14 @@ from repro.experiments.runners import (
 from repro.sim.backend import (
     BACKENDS,
     CcBackend,
-    CupyBackend,
-    KernelBackend,
-    _reset_backend_caches,
-    available_backends,
     resolve_backend,
 )
 from repro.utils.resilience import KERNEL_FALLBACK
 
-# Every backend that implements the security ops in compiled/GPU form
-# and is actually usable here. cupy joins automatically on a CUDA box.
+# Every backend that implements the security ops in compiled form and
+# is actually usable here.
 SECURITY_BACKENDS = [
-    name
-    for name in ("numba", "cc", "cupy")
-    if BACKENDS[name].available()
+    name for name in ("numba", "cc") if BACKENDS[name].available()
 ]
 
 
@@ -234,7 +226,7 @@ class TestKernelBookkeeping:
 
 
 # ----------------------------------------------------------------------
-# degradation: mid-run op failure and the GPU-less cupy resolve
+# degradation: mid-run op failure
 # ----------------------------------------------------------------------
 
 
@@ -261,46 +253,3 @@ class TestMidRunDegradation:
         assert events and events[0].kind == KERNEL_FALLBACK
         assert events[0].resolution == "degraded"
         assert_scored_equal(reference, degraded)
-
-
-class TestCupyDegradation:
-    @pytest.fixture(autouse=True)
-    def fresh_caches(self):
-        _reset_backend_caches()
-        yield
-        _reset_backend_caches()
-
-    def test_cupy_registered(self):
-        assert BACKENDS["cupy"] is CupyBackend
-        assert issubclass(CupyBackend, KernelBackend)
-
-    @pytest.mark.skipif(
-        CupyBackend.available(), reason="a CUDA device is present"
-    )
-    def test_gpu_less_environment_degrades_with_event(self):
-        # The acceptance contract: requesting cupy on a GPU-less box is a
-        # recorded degradation, not an error.
-        assert "cupy" not in available_backends()
-        assert CupyBackend.unavailable_reason()
-
-        seen = []
-        backend = resolve_backend(
-            "cupy", on_fallback=lambda name, error: seen.append((name, error))
-        )
-        assert backend.name == "numpy"
-        assert [name for name, _ in seen] == ["cupy"]
-
-        kernel, _ = score_with("cupy")
-        assert kernel.backend == "numpy"
-        assert kernel.stats["requested_backend"] == "cupy"
-        events = kernel.fallback_events
-        assert events and events[0].kind == KERNEL_FALLBACK
-        assert "cupy" in events[0].detail
-
-    @pytest.mark.skipif(
-        not CupyBackend.available(), reason="cupy needs a CUDA device"
-    )
-    def test_cupy_scores_match_numpy(self):
-        _, reference = score_with("numpy")
-        _, gpu = score_with("cupy")
-        assert_scored_equal(reference, gpu)

@@ -1,11 +1,12 @@
-"""Indexed vs broadcast dispatch must be outcome-for-outcome identical.
+"""The engine must match the broadcast oracle outcome for outcome.
 
 The watched-nodes contract promises that every event the indexed engine
 skips would have been a no-op under broadcast. These tests check the
-promise end-to-end: the same seeded batch, run under both dispatch modes,
-must produce byte-identical ``DeliveryOutcome`` sequences — including
-under faults (greyhole relays, fail-stop deaths, custody recovery), where
-the shared-RNG draw order is the easiest thing to get subtly wrong.
+promise end-to-end: the same seeded batch, run by the production engine
+and by :class:`tests.oracles.BroadcastEngine`, must produce byte-identical
+``DeliveryOutcome`` sequences — including under faults (greyhole relays,
+fail-stop deaths, custody recovery), where the shared-RNG draw order is
+the easiest thing to get subtly wrong.
 """
 
 import math
@@ -25,6 +26,7 @@ from repro.experiments.runners import (
     run_faulty_graph_batch,
     run_random_graph_batch,
 )
+from tests.oracles import BroadcastEngine, runners_using
 
 
 def outcome_fields(pairs):
@@ -51,14 +53,15 @@ def graph():
 
 
 def both_modes(batch_fn, graph, seed, make_kwargs=dict, **kwargs):
-    """Run the batch under both modes with identical seeding.
+    """Run the batch under the broadcast oracle and the engine alike.
 
-    ``make_kwargs`` builds per-mode keyword arguments — fault objects like
+    ``make_kwargs`` builds per-run keyword arguments — fault objects like
     :class:`DroppingRelays` carry their own RNG state and must be
     constructed fresh for each run, or the first run perturbs the second.
     """
-    return [
-        outcome_fields(
+
+    def run():
+        return outcome_fields(
             batch_fn(
                 graph,
                 4,
@@ -66,13 +69,14 @@ def both_modes(batch_fn, graph, seed, make_kwargs=dict, **kwargs):
                 horizon=360.0,
                 sessions=30,
                 rng=np.random.default_rng(seed),
-                dispatch=mode,
                 **kwargs,
                 **make_kwargs(),
             )
         )
-        for mode in ("broadcast", "indexed")
-    ]
+
+    with runners_using(BroadcastEngine):
+        broadcast = run()
+    return [broadcast, run()]
 
 
 class TestDispatchEquivalence:
@@ -192,9 +196,8 @@ class TestQuarantineUnderIndexing:
 
     @pytest.mark.parametrize("dispatch", ["broadcast", "indexed"])
     def test_raising_session_is_quarantined(self, dispatch):
-        engine = SimulationEngine(
-            ScriptedEvents(self.events()), horizon=10.0, dispatch=dispatch
-        )
+        engine_cls = BroadcastEngine if dispatch == "broadcast" else SimulationEngine
+        engine = engine_cls(ScriptedEvents(self.events()), horizon=10.0)
         faulty = FaultyWatchedSession()
         healthy = WatchingRecorder(0)
         engine.add_session(faulty)
@@ -210,9 +213,7 @@ class TestQuarantineUnderIndexing:
         assert healthy.seen == expected
 
     def test_quarantined_session_not_redispatched_by_index(self):
-        engine = SimulationEngine(
-            ScriptedEvents(self.events()), horizon=10.0, dispatch="indexed"
-        )
+        engine = SimulationEngine(ScriptedEvents(self.events()), horizon=10.0)
         faulty = FaultyWatchedSession()
         engine.add_session(faulty)
         engine.run()
@@ -246,9 +247,7 @@ class TestWakeupPolling:
                 return DeliveryOutcome()
 
         events = [ContactEvent(time=float(t), a=0, b=1) for t in range(1, 7)]
-        engine = SimulationEngine(
-            ScriptedEvents(events), horizon=10.0, dispatch="indexed"
-        )
+        engine = SimulationEngine(ScriptedEvents(events), horizon=10.0)
         session = ExpiringSession()
         engine.add_session(session)
         engine.run()

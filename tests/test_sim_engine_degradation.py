@@ -5,10 +5,11 @@ fails *before dispatching anything* routes its whole group through the
 columnar object loop (and a partially-dispatched kernel must refuse to —
 replaying advanced sessions would violate causality). Inside a parallel
 chunk, :func:`repro.experiments.parallel._run_chunk_with_ladder` retries
-the chunk on the next consume rung (kernel → columnar → iterator),
-rebuilding all chunk state from the seed. Both levels promise outcomes
-byte-identical to the iterator path — these tests mix kernel-eligible and
-fault-carrying sessions in one batch and check exactly that.
+the chunk on the next rung (kernel → object loop), rebuilding all chunk
+state from the seed. Both levels promise outcomes byte-identical to the
+per-event oracle (:class:`tests.oracles.IteratorEngine`) — these tests mix
+kernel-eligible and fault-carrying sessions in one batch and check
+exactly that.
 """
 
 import numpy as np
@@ -30,6 +31,7 @@ from repro.sim.engine import SimulationEngine
 from repro.sim.kernel import BatchKernel
 from repro.sim.message import Message
 from repro.utils.resilience import KERNEL_FALLBACK
+from tests.oracles import IteratorEngine
 
 
 def outcome_fields(outcomes):
@@ -98,10 +100,8 @@ def block():
     ).events_until_columnar(HORIZON)
 
 
-def run_mixed(block, consume):
-    engine = SimulationEngine(
-        ColumnarEventSource(block), horizon=HORIZON, consume=consume
-    )
+def run_mixed(block, engine_cls=SimulationEngine, **knobs):
+    engine = engine_cls(ColumnarEventSource(block), horizon=HORIZON, **knobs)
     sessions = mixed_sessions(seed=13)
     for session in sessions:
         engine.add_session(session)
@@ -116,13 +116,13 @@ class TestEngineKernelFallback:
         """Satellite acceptance: a mid-batch kernel error on a mixed batch
         degrades to the object loop with outcomes byte-identical to the
         iterator path."""
-        _, via_iterator = run_mixed(block, "iterator")
+        _, via_iterator = run_mixed(block, IteratorEngine)
 
         def refuse(self, block, on_session_error=None):
             raise RuntimeError("injected kernel failure")  # dispatches == 0
 
         monkeypatch.setattr(BatchKernel, "run", refuse)
-        engine, via_kernel = run_mixed(block, "kernel")
+        engine, via_kernel = run_mixed(block)
 
         assert outcome_fields(via_kernel) == outcome_fields(via_iterator)
         fallbacks = engine.fallback_events
@@ -135,9 +135,28 @@ class TestEngineKernelFallback:
         assert engine.dispatch_mode_counts.get("kernel-single", 0) == 0
         assert engine.dispatch_mode_counts.get("columnar", 0) > 0
 
+    def test_windowed_predispatch_kernel_error_matches_iterator_path(
+        self, block, monkeypatch
+    ):
+        # The rejected group joins an object loop that already holds the
+        # ineligible sessions and carries its state across the windows.
+        _, via_iterator = run_mixed(block, IteratorEngine)
+
+        def refuse(self, block, on_session_error=None):
+            raise RuntimeError("injected kernel failure")
+
+        monkeypatch.setattr(BatchKernel, "run", refuse)
+        engine, windowed = run_mixed(block, stream_window=HORIZON / 5)
+
+        assert outcome_fields(windowed) == outcome_fields(via_iterator)
+        assert [e.where for e in engine.fallback_events] == ["BatchKernel"]
+        assert engine.stream_stats[0] > 1
+        assert engine.dispatch_mode_counts.get("kernel-single", 0) == 0
+        assert engine.dispatch_mode_counts["kernel-multicopy"] > 0
+
     def test_clean_kernel_run_matches_iterator_and_records_nothing(self, block):
-        engine, via_kernel = run_mixed(block, "kernel")
-        _, via_iterator = run_mixed(block, "iterator")
+        engine, via_kernel = run_mixed(block)
+        _, via_iterator = run_mixed(block, IteratorEngine)
         assert outcome_fields(via_kernel) == outcome_fields(via_iterator)
         assert engine.fallback_events == ()
         assert engine.dispatch_mode_counts.get("kernel-single", 0) > 0
@@ -155,18 +174,18 @@ class TestEngineKernelFallback:
 
         monkeypatch.setattr(BatchKernel, "run", dispatch_then_die)
         with pytest.raises(RuntimeError, match="post-dispatch") as excinfo:
-            run_mixed(block, "kernel")
+            run_mixed(block)
         assert any("kernel=False" in note for note in excinfo.value.__notes__)
 
 
 # ----------------------------------------------------------------------
-# the chunk-level ladder (kernel → columnar → iterator inside a retry)
+# the chunk-level ladder (kernel → object loop inside a retry)
 # ----------------------------------------------------------------------
 
 
-def _ladder_probe(sessions, rng, fail_on=(), kernel=None, consume="auto"):
+def _ladder_probe(sessions, rng, fail_on=(), kernel=True):
     """A stand-in batch fn whose failures are selected per rung."""
-    rung = "kernel" if kernel is not False else consume
+    rung = "kernel" if kernel else "object"
     if rung in fail_on:
         raise RuntimeError(f"injected failure on rung {rung!r}")
     return [(rung, sessions, float(rng.random()))]
@@ -195,23 +214,13 @@ class TestChunkLadder:
         assert payload.events[0]["resolution"] == "degraded"
         assert "kernel=False" in payload.events[0]["detail"]
 
-    def test_double_failure_reaches_iterator_rung(self):
-        payload = _run_batch_chunk(
-            _ladder_probe,
-            5,
-            self.seed(),
-            {"fail_on": ("kernel", "auto"), "kernel": True},
-        )
-        assert payload.result[0][0] == "iterator"
-        assert [e["kind"] for e in payload.events] == [KERNEL_FALLBACK] * 2
-
     def test_exhausted_ladder_raises_last_rung_error(self):
-        with pytest.raises(RuntimeError, match="rung 'iterator'"):
+        with pytest.raises(RuntimeError, match="rung 'object'"):
             _run_batch_chunk(
                 _ladder_probe,
                 5,
                 self.seed(),
-                {"fail_on": ("kernel", "auto", "iterator"), "kernel": True},
+                {"fail_on": ("kernel", "object"), "kernel": True},
             )
 
     def test_clean_chunk_records_no_events(self):
@@ -220,25 +229,15 @@ class TestChunkLadder:
         assert payload.result[0][0] == "kernel"
 
     def test_rungs_respect_pinned_knobs(self):
-        three = _degradation_rungs(_ladder_probe, {"kernel": True})
-        assert [label for label, _ in three] == [
+        two = _degradation_rungs(_ladder_probe, {"kernel": True})
+        assert [label for label, _ in two] == [
             "requested configuration",
             "kernel=False",
-            "consume='iterator'",
         ]
-        # The iterator rung builds on the kernel-off rung, not the original.
-        assert three[2][1] == {"kernel": False, "consume": "iterator"}
+        assert two[1][1] == {"kernel": False}
 
         pinned_off = _degradation_rungs(_ladder_probe, {"kernel": False})
         assert [label for label, _ in pinned_off] == [
-            "requested configuration",
-            "consume='iterator'",
-        ]
-
-        pinned_iterator = _degradation_rungs(
-            _ladder_probe, {"kernel": False, "consume": "iterator"}
-        )
-        assert [label for label, _ in pinned_iterator] == [
             "requested configuration"
         ]
 

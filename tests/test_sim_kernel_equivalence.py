@@ -4,9 +4,9 @@ The :class:`~repro.sim.kernel.BatchKernel` claims that for fault-free
 single-copy sessions only two kinds of event change state — the first
 meeting with a next-group member and the first event past the TTL — and
 dispatches exactly those through the session's own scalar hook. These
-tests check the claim end-to-end: the same seeded batch, run under
-``consume="columnar"`` and ``consume="kernel"``, must produce
-byte-identical ``DeliveryOutcome`` sequences across graph sizes, group
+tests check the claim end-to-end: the same seeded batch, run by the
+per-event oracle (:class:`tests.oracles.IteratorEngine`) and by the
+engine's kernel path, must produce byte-identical ``DeliveryOutcome`` sequences across graph sizes, group
 sizes, route lengths, and seeds; including mixed batches where faulted /
 keyring sessions fall back to the object path (multi-copy sessions now
 route to their own kernel — see
@@ -29,6 +29,7 @@ from repro.sim.engine import SimulationEngine
 from repro.sim.kernel import BatchKernel
 from repro.sim.message import Message
 from repro.sim.metrics import status_counts
+from tests.oracles import IteratorEngine, runners_using
 
 
 def outcome_fields(outcomes):
@@ -68,36 +69,36 @@ def test_kernel_matches_columnar(n, group_size, onion_routers, seed):
     )
     runs = []
     counts = []
-    for consume in ("columnar", "kernel"):
-        pairs = run_random_graph_batch(
-            graph,
-            group_size,
-            onion_routers,
-            1,
-            horizon=360.0,
-            sessions=30,
-            rng=np.random.default_rng(seed),
-            consume=consume,
-        )
+    for engine_cls in (IteratorEngine, SimulationEngine):
+        with runners_using(engine_cls):
+            pairs = run_random_graph_batch(
+                graph,
+                group_size,
+                onion_routers,
+                1,
+                horizon=360.0,
+                sessions=30,
+                rng=np.random.default_rng(seed),
+            )
         runs.append(batch_fields(pairs))
         counts.append(status_counts([outcome for _, outcome in pairs]))
     assert runs[0] == runs[1]
     assert counts[0] == counts[1]
 
 
-def test_kernel_knob_matches_consume_spelling():
+def test_kernel_knob_defaults_on():
     graph = random_contact_graph(
         25, (10.0, 120.0), rng=np.random.default_rng(17)
     )
-    spelled = run_random_graph_batch(
+    default = run_random_graph_batch(
         graph, 3, 2, 1, horizon=240.0, sessions=20,
-        rng=np.random.default_rng(17), consume="kernel",
+        rng=np.random.default_rng(17),
     )
     knobbed = run_random_graph_batch(
         graph, 3, 2, 1, horizon=240.0, sessions=20,
         rng=np.random.default_rng(17), kernel=True,
     )
-    assert batch_fields(spelled) == batch_fields(knobbed)
+    assert batch_fields(default) == batch_fields(knobbed)
 
 
 # ----------------------------------------------------------------------
@@ -139,10 +140,8 @@ def expiry_sessions():
     return [delivered, expires, stalled]
 
 
-def run_scripted(consume):
-    engine = SimulationEngine(
-        ColumnarEventSource(scripted_block()), horizon=500.0, consume=consume
-    )
+def run_scripted(engine_cls):
+    engine = engine_cls(ColumnarEventSource(scripted_block()), horizon=500.0)
     sessions = expiry_sessions()
     for session in sessions:
         engine.add_session(session)
@@ -151,8 +150,8 @@ def run_scripted(consume):
 
 
 def test_ttl_expiry_and_late_creation_match_columnar():
-    columnar = run_scripted("columnar")
-    kernel = run_scripted("kernel")
+    columnar = run_scripted(IteratorEngine)
+    kernel = run_scripted(SimulationEngine)
     assert outcome_fields(columnar) == outcome_fields(kernel)
     assert [o.status for o in kernel] == ["delivered", "expired", "pending"]
     # The expiring session died at the first event past its deadline
@@ -215,10 +214,8 @@ def test_mixed_batch_fallback_matches_columnar():
         graph, rng=np.random.default_rng(21)
     ).events_until_columnar(360.0)
     runs = []
-    for consume in ("columnar", "kernel"):
-        engine = SimulationEngine(
-            ColumnarEventSource(block), horizon=360.0, consume=consume
-        )
+    for engine_cls in (IteratorEngine, SimulationEngine):
+        engine = engine_cls(ColumnarEventSource(block), horizon=360.0)
         sessions = mixed_sessions(n, seed=13)
         for session in sessions:
             engine.add_session(session)
@@ -228,8 +225,8 @@ def test_mixed_batch_fallback_matches_columnar():
 
 
 def test_iterator_source_degrades_to_object_loop():
-    # A source without events_until_columnar cannot feed the kernel; the
-    # engine must silently run the legacy loop with identical outcomes.
+    # A source without events_until_columnar is adapted window by window;
+    # the kernels sweep the adapted windows with identical outcomes.
     class IteratorOnly:
         def __init__(self, block):
             self._inner = ColumnarEventSource(block)
@@ -238,13 +235,13 @@ def test_iterator_source_degrades_to_object_loop():
             return self._inner.events_until(horizon)
 
     block = scripted_block()
-    engine = SimulationEngine(IteratorOnly(block), horizon=500.0, consume="kernel")
+    engine = SimulationEngine(IteratorOnly(block), horizon=500.0)
     sessions = expiry_sessions()
     for session in sessions:
         engine.add_session(session)
     engine.run()
     assert outcome_fields(s.outcome() for s in sessions) == outcome_fields(
-        run_scripted("columnar")
+        run_scripted(IteratorEngine)
     )
 
 
@@ -304,25 +301,21 @@ class TestSupports:
 
 
 class TestEnginePlumbing:
+    # The engine has one run path: the old mode knobs are gone, not
+    # silently ignored.
     def test_dispatch_kernel_alias(self):
-        engine = SimulationEngine(
-            ColumnarEventSource(scripted_block()),
-            horizon=10.0,
-            dispatch="kernel",
-        )
-        assert engine.dispatch == "indexed"
-        assert engine.consume == "kernel"
-
-    def test_consume_kernel_accepted(self):
-        engine = SimulationEngine(
-            ColumnarEventSource(scripted_block()), horizon=10.0, consume="kernel"
-        )
-        assert engine.consume == "kernel"
-
-    def test_unknown_consume_rejected(self):
-        with pytest.raises(ValueError, match="kernel"):
+        with pytest.raises(TypeError, match="dispatch"):
             SimulationEngine(
                 ColumnarEventSource(scripted_block()),
                 horizon=10.0,
-                consume="vector",
+                dispatch="kernel",
             )
+
+    def test_unknown_consume_rejected(self):
+        for value in ("kernel", "vector"):
+            with pytest.raises(TypeError, match="consume"):
+                SimulationEngine(
+                    ColumnarEventSource(scripted_block()),
+                    horizon=10.0,
+                    consume=value,
+                )

@@ -1,11 +1,12 @@
-"""Multi-copy kernel vs columnar dispatch: outcome-for-outcome identity.
+"""Multi-copy kernel vs the per-event oracle: outcome-for-outcome identity.
 
 The :class:`~repro.sim.kernel.MultiCopyBatchKernel` claims that for
 fault-free :class:`~repro.core.multi_copy.MultiCopySession` batches the
 only state-changing events are the first meeting between some live
 copy's holder and one of that copy's next-group members, and the first
 event strictly past the TTL — and that dispatching exactly those through
-``on_contact_scalar`` reproduces the object loops byte-for-byte. These
+``on_contact_scalar`` reproduces the per-event oracle
+(:class:`tests.oracles.IteratorEngine`) byte-for-byte. These
 tests check the claim across spray policies, copy counts (including
 ticket exhaustion when L saturates the spray), TTL expiry, reclaiming
 (recovery) sessions falling back to the object path, and mixed
@@ -34,6 +35,7 @@ from repro.sim.kernel import BatchKernel, MultiCopyBatchKernel, kernel_class_for
 from repro.sim.message import Message
 from repro.sim.metrics import status_counts
 
+from tests.oracles import IteratorEngine, runners_using
 from tests.test_sim_kernel_equivalence import batch_fields, outcome_fields
 
 
@@ -51,18 +53,18 @@ def test_multicopy_kernel_matches_columnar(copies, policy, seed):
     )
     runs = []
     counts = []
-    for consume in ("columnar", "kernel"):
-        pairs = run_random_graph_batch(
-            graph,
-            4,
-            2,
-            copies,
-            horizon=360.0,
-            sessions=25,
-            rng=np.random.default_rng(seed),
-            spray_policy=policy,
-            consume=consume,
-        )
+    for engine_cls in (IteratorEngine, SimulationEngine):
+        with runners_using(engine_cls):
+            pairs = run_random_graph_batch(
+                graph,
+                4,
+                2,
+                copies,
+                horizon=360.0,
+                sessions=25,
+                rng=np.random.default_rng(seed),
+                spray_policy=policy,
+            )
         runs.append(batch_fields(pairs))
         counts.append(status_counts([outcome for _, outcome in pairs]))
     assert runs[0] == runs[1]
@@ -79,17 +81,17 @@ def test_ticket_exhaustion_copies_saturate_group():
         30, (5.0, 60.0), rng=np.random.default_rng(seed)
     )
     runs = []
-    for consume in ("columnar", "kernel"):
-        pairs = run_random_graph_batch(
-            graph,
-            4,
-            2,
-            4,
-            horizon=720.0,
-            sessions=20,
-            rng=np.random.default_rng(seed),
-            consume=consume,
-        )
+    for engine_cls in (IteratorEngine, SimulationEngine):
+        with runners_using(engine_cls):
+            pairs = run_random_graph_batch(
+                graph,
+                4,
+                2,
+                4,
+                horizon=720.0,
+                sessions=20,
+                rng=np.random.default_rng(seed),
+            )
         runs.append(batch_fields(pairs))
     assert runs[0] == runs[1]
 
@@ -103,17 +105,17 @@ def test_overlapping_groups_noop_dispatches_match():
         16, (5.0, 45.0), rng=np.random.default_rng(seed)
     )
     runs = []
-    for consume in ("columnar", "kernel"):
-        pairs = run_random_graph_batch(
-            graph,
-            4,
-            2,
-            4,
-            horizon=720.0,
-            sessions=15,
-            rng=np.random.default_rng(seed),
-            consume=consume,
-        )
+    for engine_cls in (IteratorEngine, SimulationEngine):
+        with runners_using(engine_cls):
+            pairs = run_random_graph_batch(
+                graph,
+                4,
+                2,
+                4,
+                horizon=720.0,
+                sessions=15,
+                rng=np.random.default_rng(seed),
+            )
         runs.append(batch_fields(pairs))
     assert runs[0] == runs[1]
 
@@ -160,10 +162,8 @@ def scripted_sessions():
     return [delivered, expires, stalled]
 
 
-def run_scripted(consume):
-    engine = SimulationEngine(
-        ColumnarEventSource(scripted_block()), horizon=500.0, consume=consume
-    )
+def run_scripted(engine_cls):
+    engine = engine_cls(ColumnarEventSource(scripted_block()), horizon=500.0)
     sessions = scripted_sessions()
     for session in sessions:
         engine.add_session(session)
@@ -172,8 +172,8 @@ def run_scripted(consume):
 
 
 def test_ttl_expiry_and_late_creation_match_columnar():
-    columnar = run_scripted("columnar")
-    kernel = run_scripted("kernel")
+    columnar = run_scripted(IteratorEngine)
+    kernel = run_scripted(SimulationEngine)
     assert outcome_fields(columnar) == outcome_fields(kernel)
     assert [o.status for o in kernel] == ["delivered", "expired", "pending"]
     # Every live copy of the expiring session died at the first event
@@ -235,10 +235,8 @@ def test_mixed_batch_fallback_matches_columnar():
         graph, rng=np.random.default_rng(21)
     ).events_until_columnar(360.0)
     runs = []
-    for consume in ("columnar", "kernel"):
-        engine = SimulationEngine(
-            ColumnarEventSource(block), horizon=360.0, consume=consume
-        )
+    for engine_cls in (IteratorEngine, SimulationEngine):
+        engine = engine_cls(ColumnarEventSource(block), horizon=360.0)
         sessions = mixed_sessions(n, seed=13)
         for session in sessions:
             engine.add_session(session)
@@ -329,9 +327,7 @@ class TestSupports:
 class TestEnginePlumbing:
     def test_dispatch_mode_counts_multicopy(self):
         engine = SimulationEngine(
-            ColumnarEventSource(scripted_block()),
-            horizon=500.0,
-            consume="kernel",
+            ColumnarEventSource(scripted_block()), horizon=500.0
         )
         for session in scripted_sessions():
             engine.add_session(session)
@@ -346,9 +342,7 @@ class TestEnginePlumbing:
         block = ExponentialContactProcess(
             graph, rng=np.random.default_rng(21)
         ).events_until_columnar(360.0)
-        engine = SimulationEngine(
-            ColumnarEventSource(block), horizon=360.0, consume="kernel"
-        )
+        engine = SimulationEngine(ColumnarEventSource(block), horizon=360.0)
         sessions = mixed_sessions(n, seed=13)
         for session in sessions:
             engine.add_session(session)

@@ -1,13 +1,15 @@
-"""The streaming consume mode must equal one-shot kernels, bit for bit.
+"""Windowed runs must equal one-shot runs and the oracle, bit for bit.
 
-``consume="stream"`` drains the event source window by window through
-:func:`~repro.contacts.events.stream_event_blocks` and invokes the batch
-kernels once per window. Because the kernels compose across successive
+The engine drains the event source window by window through
+:func:`~repro.contacts.events.stream_event_blocks` (one horizon-wide
+window unless ``stream_window`` / ``max_window_events`` say otherwise)
+and invokes the batch kernels once per window. Because the kernels compose across successive
 ``run`` calls (they rebuild per-session candidate state each call and
 skip finished sessions), a windowed drain must reproduce the one-shot
 kernel outcomes exactly — including sessions whose TTL or delivery spans
-a window boundary. These tests pin that equivalence, the memory-ceiling
-knobs, and the generator's own windowing arithmetic.
+a window boundary. These tests pin that equivalence (against the
+per-event oracle too), the memory-ceiling knobs, and the generator's own
+windowing arithmetic.
 """
 
 import numpy as np
@@ -26,6 +28,7 @@ from repro.experiments.runners import run_random_graph_batch
 from repro.sim.engine import SimulationEngine
 from repro.sim.message import Message
 from repro.sim.metrics import status_counts
+from tests.oracles import IteratorEngine, runners_using
 
 
 def batch_fields(pairs):
@@ -128,11 +131,11 @@ class TestStreamEventBlocks:
 
 
 # ----------------------------------------------------------------------
-# engine consume="stream": equivalence and observability
+# engine windows: equivalence and observability
 # ----------------------------------------------------------------------
 
 
-def _run(graph, seed, consume, **engine_knobs):
+def _run(graph, seed, **engine_knobs):
     return run_random_graph_batch(
         graph,
         4,
@@ -141,55 +144,55 @@ def _run(graph, seed, consume, **engine_knobs):
         horizon=360.0,
         sessions=40,
         rng=np.random.default_rng(seed),
-        consume=consume,
         **engine_knobs,
     )
+
+
+def _oracle(graph, seed):
+    with runners_using(IteratorEngine):
+        return _run(graph, seed)
 
 
 class TestStreamConsume:
     @pytest.mark.parametrize("seed", [3, 11, 29])
     def test_stream_matches_kernel_and_columnar(self, graph, seed):
-        kernel = batch_fields(_run(graph, seed, "kernel"))
-        columnar = batch_fields(_run(graph, seed, "columnar"))
-        stream = batch_fields(_run(graph, seed, "stream", stream_window=45.0))
-        assert stream == kernel == columnar
+        kernel = batch_fields(_run(graph, seed))
+        oracle = batch_fields(_oracle(graph, seed))
+        stream = batch_fields(_run(graph, seed, stream_window=45.0))
+        assert stream == kernel == oracle
 
     def test_stream_matches_kernel_multicopy(self, graph):
-        def run(consume, **knobs):
+        def run(**knobs):
             return batch_fields(
                 run_random_graph_batch(
                     graph, 4, 2, copies=3,
                     horizon=360.0, sessions=30,
                     rng=np.random.default_rng(7),
-                    consume=consume, **knobs,
+                    **knobs,
                 )
             )
 
-        assert run("stream", stream_window=30.0) == run("kernel")
+        assert run(stream_window=30.0) == run()
 
     def test_stream_without_kernels_matches_columnar(self, graph):
         # kernel=False keeps the windowed drain but routes every session
         # through the columnar object loop — outcomes stay identical.
-        stream = batch_fields(
-            _run(graph, 5, "stream", stream_window=45.0, kernel=False)
-        )
-        assert stream == batch_fields(_run(graph, 5, "columnar"))
+        stream = batch_fields(_run(graph, 5, stream_window=45.0, kernel=False))
+        assert stream == batch_fields(_oracle(graph, 5))
 
     def test_ttl_spanning_window_boundary(self, graph):
         # Tiny windows force every session's delivery/expiry to happen many
         # windows after its creation; the composed outcomes must not drift.
-        stream = batch_fields(_run(graph, 17, "stream", stream_window=5.0))
-        kernel = batch_fields(_run(graph, 17, "kernel"))
+        stream = batch_fields(_run(graph, 17, stream_window=5.0))
+        kernel = batch_fields(_run(graph, 17))
         assert stream == kernel
         assert status_counts([]) == {}
 
     def test_event_ceiling_matches_unbounded(self, graph):
         bounded = batch_fields(
-            _run(
-                graph, 23, "stream", stream_window=90.0, max_window_events=16
-            )
+            _run(graph, 23, stream_window=90.0, max_window_events=16)
         )
-        assert bounded == batch_fields(_run(graph, 23, "kernel"))
+        assert bounded == batch_fields(_run(graph, 23))
 
 
 class TestStreamEngineInternals:
@@ -197,9 +200,7 @@ class TestStreamEngineInternals:
         rng = np.random.default_rng(41)
         directory = OnionGroupDirectory(graph.n, 4, rng=rng)
         process = ExponentialContactProcess(graph, rng=rng)
-        engine = SimulationEngine(
-            process, horizon=300.0, consume="stream", **knobs
-        )
+        engine = SimulationEngine(process, horizon=300.0, **knobs)
         sessions = []
         for _ in range(20):
             src, dst = rng.choice(graph.n, size=2, replace=False)
@@ -243,13 +244,13 @@ class TestStreamEngineInternals:
 
     def test_iterator_source_falls_back(self, graph):
         class IteratorOnly:
+            # Resumable like every source: windowed reads continue where
+            # the previous call stopped.
             def __init__(self, block):
-                self._block = block
+                self._inner = ColumnarEventSource(block)
 
             def events_until(self, horizon):
-                return iter(
-                    ColumnarEventSource(self._block).events_until(horizon)
-                )
+                return iter(self._inner.events_until(horizon))
 
         block = ExponentialContactProcess(
             graph, rng=np.random.default_rng(41)
@@ -266,9 +267,7 @@ class TestStreamEngineInternals:
         ):
             session_rng = np.random.default_rng(41)
             OnionGroupDirectory(graph.n, 4, rng=session_rng)
-            engine = SimulationEngine(
-                source, horizon=300.0, consume="stream", stream_window=30.0
-            )
+            engine = SimulationEngine(source, horizon=300.0, stream_window=30.0)
             placement = np.random.default_rng(8)
             sessions = []
             for _ in range(10):
@@ -297,10 +296,6 @@ class TestStreamEngineInternals:
             graph, rng=np.random.default_rng(1)
         )
         with pytest.raises(ValueError):
-            SimulationEngine(
-                process, horizon=100.0, consume="stream", stream_window=-5.0
-            )
+            SimulationEngine(process, horizon=100.0, stream_window=-5.0)
         with pytest.raises(ValueError):
-            SimulationEngine(
-                process, horizon=100.0, consume="stream", max_window_events=0
-            )
+            SimulationEngine(process, horizon=100.0, max_window_events=0)
