@@ -41,9 +41,9 @@ Two further workloads exercise the rest of the kernel family:
   draw-per-trial ``security_montecarlo`` loop, plus a fused
   figure-6-shaped (c, K) sweep pair sharing one trial block. A second
   set of arms (``security-backend-<name>``) then re-scores the same
-  fused grid per kernel backend — numpy vs the preferred compiled
+  fused grid per kernel backend — numpy vs the compiled
   backend — through the fused
-  ``smallest_k_mask`` + ``security_scores`` ops, with JIT warm-up
+  ``smallest_k_mask`` + ``security_scores`` ops, with compile warm-up
   outside the timer and result digests required to match bit-for-bit.
 * **parallel** — the zero-copy shared-memory path: one columnar window
   registered in a :class:`SharedBlockArena`, replayed through the batch
@@ -57,12 +57,11 @@ Two further workloads exercise the rest of the kernel family:
   one-shot kernel arm, which materialises an event window that *exceeds*
   that ceiling. Outcomes must be digest-identical; per-arm peak RSS is
   measured in forked children via ``resource.getrusage``.
-* **backend** — the numpy kernel backend vs the preferred compiled
-  backend (``numba`` when installed, else the embedded-C ``cc``
-  backend) sweeping the single-copy reference workload through
+* **backend** — the numpy kernel backend vs the compiled embedded-C
+  ``cc`` backend sweeping the single-copy reference workload through
   :class:`BatchKernel` over one pre-produced columnar window. The
   ``warmup()`` call covers *every* compiled op — delivery trajectories
-  and the security family alike — so first-call JIT compilation can
+  and the security family alike — so first-call library loading can
   never pollute a timed arm of any mode; outcome digests must match
   across arms.
 
@@ -527,10 +526,10 @@ def security_backend_benchmark(n, group_size, trials, seed, repeat):
 
     One shared :class:`SecurityTrialBlock` (the figure-6-shaped grid's
     widest point) is scored through :class:`SecurityBatchKernel` once per
-    backend — ``numpy`` (reference), the preferred compiled backend
-    (``numba``/``cc``) — so the arms time exactly the fused ``smallest_k_mask`` +
+    backend — ``numpy`` (reference) and the compiled ``cc`` backend —
+    so the arms time exactly the fused ``smallest_k_mask`` +
     ``security_scores`` op chain over identical inputs. Each arm's
-    JIT/compile warm-up is paid by ``warmup()`` plus one throwaway
+    compile warm-up is paid by ``warmup()`` plus one throwaway
     scoring pass *before* the timer; the per-arm result digest (sha256
     over the concatenated traceable/anonymity arrays) must match the
     numpy reference bit-for-bit. Returns
@@ -581,7 +580,7 @@ def security_backend_benchmark(n, group_size, trials, seed, repeat):
     walls = {}
     digests = {}
     for name in arm_names:
-        # JIT/compile warm-up and one throwaway pass outside the
+        # Compile warm-up and one throwaway pass outside the
         # timer, so the arms measure steady-state scoring only.
         resolve_backend(name).warmup()
         SecurityBatchKernel(block, model, backend=name).score(grid)
@@ -634,8 +633,8 @@ def security_backend_benchmark(n, group_size, trials, seed, repeat):
         ]
     else:
         rows["security-backend-numpy"]["note"] = (
-            "no compiled backend available in this environment (numba not "
-            "installed, no C compiler found); only the numpy arm was timed"
+            "no compiled backend available in this environment (no C "
+            "compiler found); only the numpy arm was timed"
         )
     return rows, identity_checks, speedups
 
@@ -662,8 +661,8 @@ def backend_benchmark(
     than by the batch setup both arms share.
     The compiled arm is whatever
     :func:`~repro.sim.backend.preferred_compiled_backend` resolves to
-    (``numba`` when installed, else the embedded-C ``cc`` backend); its
-    JIT/compile cost is paid by an explicit ``warmup()`` plus one
+    (the embedded-C ``cc`` backend when a C compiler is present); its
+    compile cost is paid by an explicit ``warmup()`` plus one
     throwaway run *before* the timer starts. Outcome digests must match
     across arms. Returns ``(rows, identity_checks, speedups)``.
     """
@@ -689,7 +688,7 @@ def backend_benchmark(
         ]
 
     def run_arm(backend_name):
-        resolve_backend(backend_name).warmup()  # JIT/compile outside the timer
+        resolve_backend(backend_name).warmup()  # compile outside the timer
         BatchKernel(fresh_sessions(), backend=backend_name).run(block)
         best = None
         digest = None
@@ -753,8 +752,8 @@ def backend_benchmark(
         ]
     else:
         rows["backend-numpy"]["note"] = (
-            "no compiled backend available in this environment (numba not "
-            "installed, no C compiler found); only the numpy arm was timed"
+            "no compiled backend available in this environment (no C "
+            "compiler found); only the numpy arm was timed"
         )
 
     if profile_path is not None:
@@ -1304,8 +1303,8 @@ def main(argv=None) -> int:
         "(million sessions, or the quick variant with --quick) under its "
         "memory ceiling against the one-shot kernel path, and 'backend' "
         "times the numpy kernel backend against the preferred compiled "
-        "backend (numba or cc) on the single-copy reference sweep with "
-        "JIT warm-up excluded and outcome digests checked",
+        "backend (cc) on the single-copy reference sweep with "
+        "compile warm-up excluded and outcome digests checked",
     )
     parser.add_argument("--sessions", type=int, default=None)
     parser.add_argument("--workers", type=int, default=4)

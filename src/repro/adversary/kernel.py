@@ -28,7 +28,7 @@ The kernel splits a Monte Carlo run into two phases:
   (the compromise-set selection behind every fixed-count strategy) and
   the fused ``security_scores`` pass (Eq. 1 run-length square sums and
   Eq. 20 exposure counts in one sweep over the trial rows) — so the
-  whole scoring chain runs compiled under the numba/cc backends,
+  whole scoring chain runs compiled under the ``cc`` backend,
   byte-identical to the numpy reference. The
   entropy ratio is a table lookup (the observed exposure only takes
   ``η + 1`` integer values, so

@@ -156,7 +156,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     figure.add_argument(
         "--kernel-backend",
-        choices=("numpy", "numba", "cc"),
+        choices=("numpy", "cc"),
         default=None,
         help="kernel compute backend (default: $REPRO_KERNEL_BACKEND or "
         "numpy; compiled backends degrade to numpy when unavailable, "

@@ -47,9 +47,10 @@ def delivery_sweep_series(
     serial behaviour.
 
     Eligible fault-free single-copy *and* multi-copy batches run through
-    the struct-of-arrays kernels. ``backend`` names the kernel compute backend (``"numpy"``, ``"numba"``,
-    ``"cc"``; see :mod:`repro.sim.backend`) — outcomes are byte-identical
-    across backends, only the sweep speed changes.
+    the struct-of-arrays kernels. ``backend`` names the kernel compute
+    backend (``"numpy"`` or ``"cc"``; see :mod:`repro.sim.backend`) —
+    outcomes are byte-identical across backends, only the sweep speed
+    changes.
     """
     generator = ensure_rng(rng)
     deadlines = config.deadlines

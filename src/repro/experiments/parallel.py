@@ -721,19 +721,6 @@ def _run_batch_chunk(
     )
 
 
-def _materialize_shared_block(payload):
-    """The worker-side block behind a shared payload.
-
-    A :class:`~repro.experiments.shm.BlockDescriptor` reattaches
-    zero-copy (cached per segment name, so warm workers pay one ``mmap``
-    per sweep); legacy npz bytes still deserialise, keeping pre-arena
-    callers of the chunk functions working.
-    """
-    if isinstance(payload, BlockDescriptor):
-        return attach_block(payload)
-    return EventBlock.from_bytes(payload)
-
-
 def _share_block(workers: "Workers", block) -> Tuple[BlockDescriptor, SharedBlockArena | None]:
     """Register ``block`` for shipping; ``(descriptor, arena-to-unlink)``.
 
@@ -761,7 +748,7 @@ def _run_shared_batch_chunk(
     reattaches it and replays it through a fresh cursor (rebuilt per
     ladder rung, since a partially consumed cursor must never be reused).
     """
-    block = _materialize_shared_block(payload)
+    block = attach_block(payload)
     return _run_chunk_with_ladder(
         batch_fn,
         getattr(batch_fn, "__name__", "batch"),
@@ -844,7 +831,7 @@ def run_parallel_batch(
         When not ``None``, forwarded to ``batch_fn`` as its ``backend=``
         kernel-backend name (see :mod:`repro.sim.backend`). Backends are
         addressed by *name* so the knob pickles cleanly into worker
-        processes — each worker resolves (and JIT-warms or dlopens) its
+        processes — each worker resolves (and dlopens) its
         own backend instance.
     policy / report:
         Optional :class:`~repro.utils.resilience.RetryPolicy` and
@@ -931,7 +918,7 @@ def _run_shared_fused_sweep_chunk(
     kwargs: dict,
 ) -> _ChunkPayload:
     """Fused-sweep chunk replaying a shared columnar event stream."""
-    block = _materialize_shared_block(payload)
+    block = attach_block(payload)
     return _run_chunk_with_ladder(
         sweep_fn,
         getattr(sweep_fn, "__name__", "sweep"),
@@ -1063,7 +1050,7 @@ def _run_shared_montecarlo_chunk(
     no copies — and the trial-weighted merge reproduces the full-block
     estimate.
     """
-    block = _materialize_shared_block(payload)
+    block = attach_block(payload)
     chunk_block = block.slice_trials(offset, offset + trials)
     return _run_chunk_with_ladder(
         mc_fn,

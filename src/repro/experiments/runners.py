@@ -185,8 +185,8 @@ def run_random_graph_batch(
     (window span and per-window event ceiling); by default the engine
     consumes one horizon-wide window.
 
-    ``backend`` selects the kernel compute backend (``"numpy"``,
-    ``"numba"``, ``"cc"``; see :mod:`repro.sim.backend`) and is forwarded
+    ``backend`` selects the kernel compute backend (``"numpy"`` or
+    ``"cc"``; see :mod:`repro.sim.backend`) and is forwarded
     to the engine. Outcomes are byte-identical across backends.
     """
     generator = ensure_rng(rng)

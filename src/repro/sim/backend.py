@@ -12,23 +12,20 @@ backends:
 ``numpy`` (default)
     The vectorized searchsorted/reduceat implementation that has always
     powered the kernels, moved here verbatim. Always available.
-``numba``
-    ``@njit(cache=True)`` compilations of the same loops. An optional
-    extra (``pip install .[perf]``); selecting it without numba installed
-    degrades to numpy (with a fallback notification, see
-    :func:`resolve_backend`).
 ``cc``
     The same loops as a small C translation unit, compiled on first use
     by the system C compiler into a content-addressed cached shared
     library and driven through :mod:`ctypes`. Zero extra Python
     dependencies; available wherever ``cc``/``gcc`` is on ``PATH``.
+    Selecting it without a compiler degrades to numpy (with a fallback
+    notification, see :func:`resolve_backend`).
 
 Backends are *selected by name* — through the ``backend=`` knob threaded
 from the CLI/figure runners down to the kernels, or ambiently through the
 ``REPRO_KERNEL_BACKEND`` environment variable — and resolved to process-
 local singletons by :func:`resolve_backend`. Names (not backend objects)
 cross process boundaries, so parallel workers re-resolve and inherit the
-choice without pickling JIT state.
+choice without pickling library handles.
 
 Equivalence contract: every backend computes *exactly* the same integer
 results from the same columns. The compiled single-copy op goes one step
@@ -60,7 +57,6 @@ __all__ = [
     "BACKENDS",
     "KernelBackend",
     "NumpyBackend",
-    "NumbaBackend",
     "CcBackend",
     "available_backends",
     "check_backend_name",
@@ -132,8 +128,8 @@ def _numpy_smallest_k_mask(priority: np.ndarray, count: int) -> np.ndarray:
 
     The selection rule every backend implements identically: a cell is
     selected iff its priority is ≤ the row's ``count``-th order statistic.
-    The kth order statistic is algorithm-independent, so a quickselect (C,
-    numba) and ``np.partition`` agree exactly; continuous priorities make
+    The kth order statistic is algorithm-independent, so a quickselect (C)
+    and ``np.partition`` agree exactly; continuous priorities make
     exact ties measure-zero, and a tie would merely over-select one node
     in one trial — identically on every backend.
     """
@@ -177,216 +173,8 @@ def _numpy_security_scores(
 
 
 # ----------------------------------------------------------------------
-# the same loops as portable scalar code — jitted by numba, mirrored in C
+# the same loops as scalar C (the ``cc`` backend)
 # ----------------------------------------------------------------------
-
-
-def _single_trajectories_loop(
-    sorted_comp,
-    stride,
-    n_nodes,
-    n_events,
-    starts,
-    stops,
-    targets,
-    ev_a,
-    ev_b,
-    act,
-    holder,
-    hop_slot,
-    last_slot,
-    cursor,
-    expiry,
-    cap,
-    traj,
-    lens,
-    dones,
-):  # pragma: no cover - executed only under numba JIT
-    comp_len = sorted_comp.shape[0]
-    for i in range(act.shape[0]):
-        s = act[i]
-        h = holder[s]
-        slot = hop_slot[s]
-        cur = cursor[s]
-        e = expiry[s]
-        last = last_slot[s]
-        m = 0
-        done = 0
-        while True:
-            best = n_events
-            for j in range(starts[slot], stops[slot]):
-                t = targets[j]
-                lo = h if h < t else t
-                hi = t if t > h else h
-                key = lo * n_nodes + hi
-                pos = np.searchsorted(sorted_comp, key * stride + cur)
-                if pos < comp_len:
-                    found = sorted_comp[pos]
-                    if found // stride == key:
-                        cand = found % stride
-                        if cand < best:
-                            best = cand
-            fire = best if best < e else e
-            if fire >= n_events:
-                done = 0
-                break
-            traj[i, m] = fire
-            m += 1
-            if best >= e or slot == last:
-                done = 1
-                break
-            h = ev_a[fire] + ev_b[fire] - h
-            slot += 1
-            cur = fire + 1
-        lens[i] = m
-        dones[i] = done
-
-
-def _multi_next_events_loop(
-    sorted_comp,
-    stride,
-    n_nodes,
-    n_events,
-    starts,
-    stops,
-    targets,
-    rows,
-    c_holder,
-    c_slot,
-    act_cursor,
-    act_expiry,
-    next_idx,
-):  # pragma: no cover - executed only under numba JIT
-    comp_len = sorted_comp.shape[0]
-    for i in range(act_expiry.shape[0]):
-        next_idx[i] = n_events
-    for j in range(rows.shape[0]):
-        row = rows[j]
-        h = c_holder[j]
-        slot = c_slot[j]
-        cur = act_cursor[row]
-        best = next_idx[row]
-        for k in range(starts[slot], stops[slot]):
-            t = targets[k]
-            lo = h if h < t else t
-            hi = t if t > h else h
-            key = lo * n_nodes + hi
-            pos = np.searchsorted(sorted_comp, key * stride + cur)
-            if pos < comp_len:
-                found = sorted_comp[pos]
-                if found // stride == key:
-                    cand = found % stride
-                    if cand < best:
-                        best = cand
-        next_idx[row] = best
-    for i in range(act_expiry.shape[0]):
-        if act_expiry[i] < next_idx[i]:
-            next_idx[i] = act_expiry[i]
-
-
-def _run_length_loop(bits, out):  # pragma: no cover - numba JIT only
-    trials, eta = bits.shape
-    for t in range(trials):
-        run = np.int64(0)
-        total = np.int64(0)
-        for k in range(eta):
-            if bits[t, k]:
-                run += 1
-            else:
-                total += run * run
-                run = 0
-        total += run * run
-        out[t] = total
-
-
-def _smallest_k_mask_loop(
-    priority, count, scratch, mask
-):  # pragma: no cover - numba JIT only
-    trials, n = priority.shape
-    k = count - 1
-    for t in range(trials):
-        for j in range(n):
-            scratch[j] = priority[t, j]
-        # Quickselect with a branchless Lomuto partition (median-of-3
-        # pivot, insertion sort below 8 elements) — the same algorithm as
-        # the C backend; random priorities mispredict every comparison of
-        # a Hoare loop.  The kth order statistic is algorithm-independent,
-        # and the masking rule (priority <= kth) is shared with the numpy
-        # reference, so backends agree exactly.
-        lo = 0
-        hi = n  # half-open [lo, hi)
-        kth = scratch[k]
-        while True:
-            if hi - lo <= 8:
-                for i in range(lo + 1, hi):
-                    x = scratch[i]
-                    j = i - 1
-                    while j >= lo and scratch[j] > x:
-                        scratch[j + 1] = scratch[j]
-                        j -= 1
-                    scratch[j + 1] = x
-                kth = scratch[k]
-                break
-            mid = lo + (hi - lo) // 2
-            a = scratch[lo]
-            b = scratch[mid]
-            c = scratch[hi - 1]
-            if a < b:
-                pivot = b if b < c else (c if a < c else a)
-            else:
-                pivot = a if a < c else (c if b < c else b)
-            # branchless Lomuto: [lo, l) < pivot, [l, r) >= pivot
-            l = lo
-            for r in range(lo, hi):
-                x = scratch[r]
-                scratch[r] = scratch[l]
-                scratch[l] = x
-                l += np.int64(x < pivot)
-            if k < l:
-                hi = l
-            elif l == lo:
-                # pivot is the range minimum: peel its equals off the front
-                m = lo
-                for r in range(lo, hi):
-                    x = scratch[r]
-                    scratch[r] = scratch[m]
-                    scratch[m] = x
-                    m += np.int64(x <= pivot)
-                if k < m:
-                    kth = pivot
-                    break
-                lo = m
-            else:
-                lo = l
-        for j in range(n):
-            if priority[t, j] <= kth:
-                mask[t, j] = 1
-
-
-def _security_scores_loop(
-    mask, sources, copy_members, onion_routers, copies, sums, exposed
-):  # pragma: no cover - numba JIT only
-    trials = sources.shape[0]
-    for t in range(trials):
-        run = np.int64(0)
-        total = np.int64(0)
-        exp_count = np.int64(0)
-        if mask[t, sources[t]]:
-            run = np.int64(1)
-            exp_count += 1
-        for k in range(onion_routers):
-            if mask[t, copy_members[t, k, 0]]:
-                run += 1
-            else:
-                total += run * run
-                run = np.int64(0)
-            for c in range(copies):
-                if mask[t, copy_members[t, k, c]]:
-                    exp_count += 1
-                    break
-        total += run * run
-        sums[t] = total
-        exposed[t] = exp_count
 
 
 _C_SOURCE = r"""
@@ -635,7 +423,7 @@ class KernelBackend:
         return None
 
     def warmup(self) -> None:
-        """Force any lazy compilation now (JIT warm-up for benchmarks)."""
+        """Force any lazy compilation now (warm-up for benchmarks)."""
 
     # -- ops -----------------------------------------------------------
 
@@ -829,163 +617,6 @@ class NumpyBackend(KernelBackend):
         )
 
 
-class NumbaBackend(KernelBackend):
-    """``@njit(cache=True)`` compilations of the scalar loops.
-
-    Optional: requires the ``numba`` package (``pip install .[perf]``).
-    The on-disk JIT cache makes the compile cost a once-per-machine
-    event; :meth:`warmup` forces it eagerly so benchmarks exclude it.
-    """
-
-    name = "numba"
-    compiled = True
-    _jitted: Optional[Dict[str, Callable]] = None
-
-    @classmethod
-    def available(cls) -> bool:
-        try:
-            import numba  # noqa: F401
-        except Exception:
-            return False
-        return True
-
-    @classmethod
-    def unavailable_reason(cls) -> Optional[str]:
-        if cls.available():
-            return None
-        return "the 'numba' package is not installed (pip install .[perf])"
-
-    def __init__(self):
-        if NumbaBackend._jitted is None:
-            from numba import njit
-
-            NumbaBackend._jitted = {
-                "single_trajectories": njit(cache=True)(
-                    _single_trajectories_loop
-                ),
-                "multi_next_events": njit(cache=True)(_multi_next_events_loop),
-                "run_length_square_sums": njit(cache=True)(_run_length_loop),
-                "smallest_k_mask": njit(cache=True)(_smallest_k_mask_loop),
-                "security_scores": njit(cache=True)(_security_scores_loop),
-            }
-        self._funcs = NumbaBackend._jitted
-
-    def warmup(self) -> None:
-        _warmup_compiled(self)
-
-    def single_trajectories(
-        self,
-        sorted_comp,
-        stride,
-        n_nodes,
-        n_events,
-        starts,
-        stops,
-        targets,
-        ev_a,
-        ev_b,
-        act,
-        holder,
-        hop_slot,
-        last_slot,
-        cursor,
-        expiry,
-    ):
-        n_act = len(act)
-        cap = _trajectory_cap(act, hop_slot, last_slot)
-        traj = np.zeros((n_act, cap), dtype=np.int64)
-        lens = np.empty(n_act, dtype=np.int64)
-        dones = np.empty(n_act, dtype=np.int64)
-        self._funcs["single_trajectories"](
-            _i64(sorted_comp),
-            np.int64(stride),
-            np.int64(n_nodes),
-            np.int64(n_events),
-            _i64(starts),
-            _i64(stops),
-            _i64(targets),
-            _i64(ev_a),
-            _i64(ev_b),
-            _i64(act),
-            _i64(holder),
-            _i64(hop_slot),
-            _i64(last_slot),
-            _i64(cursor),
-            _i64(expiry),
-            np.int64(cap),
-            traj,
-            lens,
-            dones,
-        )
-        return traj, lens, dones
-
-    def multi_next_events(
-        self,
-        sorted_comp,
-        stride,
-        n_nodes,
-        n_events,
-        starts,
-        stops,
-        targets,
-        rows,
-        c_holder,
-        c_slot,
-        act_cursor,
-        act_expiry,
-    ):
-        next_idx = np.empty(len(act_expiry), dtype=np.int64)
-        self._funcs["multi_next_events"](
-            _i64(sorted_comp),
-            np.int64(stride),
-            np.int64(n_nodes),
-            np.int64(n_events),
-            _i64(starts),
-            _i64(stops),
-            _i64(targets),
-            _i64(rows),
-            _i64(c_holder),
-            _i64(c_slot),
-            _i64(act_cursor),
-            _i64(act_expiry),
-            next_idx,
-        )
-        return next_idx
-
-    def run_length_square_sums(self, bits):
-        rows = np.ascontiguousarray(bits, dtype=np.int8)
-        out = np.empty(len(rows), dtype=np.int64)
-        self._funcs["run_length_square_sums"](rows, out)
-        return out
-
-    def smallest_k_mask(self, priority, count):
-        priority = np.ascontiguousarray(priority, dtype=np.float64)
-        trials, n = priority.shape
-        mask = np.zeros((trials, n), dtype=np.int8)
-        if count > 0:
-            scratch = np.empty(n, dtype=np.float64)
-            self._funcs["smallest_k_mask"](
-                priority, np.int64(count), scratch, mask
-            )
-        return mask.view(np.bool_)
-
-    def security_scores(self, mask, sources, copy_members, onion_routers, copies):
-        bits = np.ascontiguousarray(mask, dtype=np.int8)
-        trials = len(sources)
-        sums = np.empty(trials, dtype=np.int64)
-        exposed = np.empty(trials, dtype=np.int64)
-        self._funcs["security_scores"](
-            bits,
-            _i64(sources),
-            _i64(copy_members),
-            np.int64(onion_routers),
-            np.int64(copies),
-            sums,
-            exposed,
-        )
-        return sums, exposed
-
-
 class CcBackend(KernelBackend):
     """The scalar loops compiled by the system C compiler via ctypes.
 
@@ -1071,7 +702,56 @@ class CcBackend(KernelBackend):
         )
 
     def warmup(self) -> None:
-        _warmup_compiled(self)
+        """Run every op once on a one-event toy problem, so the library
+        load and first calls stay outside steady-state timings."""
+        # One event (0, 1) at index 0; one session holding node 0, targeting
+        # node 1 at its only hop.
+        sorted_comp = np.array([1 * 2 + 0], dtype=np.int64)  # (0,1), idx 0
+        one = np.zeros(1, dtype=np.int64)
+        self.single_trajectories(
+            sorted_comp,
+            2,  # stride = n_events + 1
+            2,  # n_nodes
+            1,  # n_events
+            one,  # starts
+            np.ones(1, dtype=np.int64),  # stops
+            np.ones(1, dtype=np.int64),  # targets
+            one,  # ev_a
+            np.ones(1, dtype=np.int64),  # ev_b
+            one,  # act
+            one,  # holder
+            one,  # hop_slot
+            one,  # last_slot
+            one,  # cursor
+            np.ones(1, dtype=np.int64),  # expiry
+        )
+        self.multi_next_events(
+            sorted_comp,
+            2,
+            2,
+            1,
+            one,
+            np.ones(1, dtype=np.int64),
+            np.ones(1, dtype=np.int64),
+            one,  # rows
+            one,  # c_holder
+            one,  # c_slot
+            one,  # act_cursor
+            np.ones(1, dtype=np.int64),  # act_expiry
+        )
+        self.run_length_square_sums(np.array([[1, 0, 1]], dtype=np.int8))
+        # Security ops: a two-trial, three-node toy block so first-call
+        # costs never land inside a timed security arm.
+        self.smallest_k_mask(
+            np.array([[0.5, 0.25, 0.75], [0.9, 0.1, 0.4]]), 2
+        )
+        self.security_scores(
+            np.array([[True, False, True], [False, True, False]]),
+            np.zeros(2, dtype=np.int64),
+            np.ones((2, 2, 2), dtype=np.int64),
+            2,
+            2,
+        )
 
     def single_trajectories(
         self,
@@ -1198,62 +878,6 @@ class CcBackend(KernelBackend):
         return sums, exposed
 
 
-def _warmup_compiled(backend: KernelBackend) -> None:
-    """Run every compiled op once on a one-event toy problem.
-
-    Triggers numba JIT compilation (or verifies the C library loads and
-    calls cleanly) so steady-state timings exclude one-time costs.
-    """
-    # One event (0, 1) at index 0; one session holding node 0, targeting
-    # node 1 at its only hop.
-    sorted_comp = np.array([1 * 2 + 0], dtype=np.int64)  # key=(0,1), idx 0
-    one = np.zeros(1, dtype=np.int64)
-    backend.single_trajectories(
-        sorted_comp,
-        2,  # stride = n_events + 1
-        2,  # n_nodes
-        1,  # n_events
-        one,  # starts
-        np.ones(1, dtype=np.int64),  # stops
-        np.ones(1, dtype=np.int64),  # targets
-        one,  # ev_a
-        np.ones(1, dtype=np.int64),  # ev_b
-        one,  # act
-        one,  # holder
-        one,  # hop_slot
-        one,  # last_slot
-        one,  # cursor
-        np.ones(1, dtype=np.int64),  # expiry
-    )
-    backend.multi_next_events(
-        sorted_comp,
-        2,
-        2,
-        1,
-        one,
-        np.ones(1, dtype=np.int64),
-        np.ones(1, dtype=np.int64),
-        one,  # rows
-        one,  # c_holder
-        one,  # c_slot
-        one,  # act_cursor
-        np.ones(1, dtype=np.int64),  # act_expiry
-    )
-    backend.run_length_square_sums(np.array([[1, 0, 1]], dtype=np.int8))
-    # Security ops: a two-trial, three-node toy block so first-call JIT
-    # compilation never lands inside a timed security arm.
-    backend.smallest_k_mask(
-        np.array([[0.5, 0.25, 0.75], [0.9, 0.1, 0.4]]), 2
-    )
-    backend.security_scores(
-        np.array([[True, False, True], [False, True, False]]),
-        np.zeros(2, dtype=np.int64),
-        np.ones((2, 2, 2), dtype=np.int64),
-        2,
-        2,
-    )
-
-
 # ----------------------------------------------------------------------
 # registry
 # ----------------------------------------------------------------------
@@ -1262,7 +886,6 @@ def _warmup_compiled(backend: KernelBackend) -> None:
 #: Name → backend class, in documentation order.
 BACKENDS: Dict[str, type] = {
     "numpy": NumpyBackend,
-    "numba": NumbaBackend,
     "cc": CcBackend,
 }
 
@@ -1280,7 +903,6 @@ def _instantiate(name: str) -> KernelBackend:
 def _reset_backend_caches() -> None:
     """Drop backend singletons (test hook: re-probe availability)."""
     _instances.clear()
-    NumbaBackend._jitted = None
     CcBackend._lib = None
 
 
@@ -1292,11 +914,8 @@ def available_backends() -> Tuple[str, ...]:
 
 
 def preferred_compiled_backend() -> Optional[str]:
-    """The best available compiled backend name (numba first), or None."""
-    for name in ("numba", "cc"):
-        if BACKENDS[name].available():
-            return name
-    return None
+    """``"cc"`` when a C compiler is available, else None."""
+    return "cc" if CcBackend.available() else None
 
 
 def check_backend_name(backend) -> None:
@@ -1326,8 +945,8 @@ def resolve_backend(
     ``REPRO_KERNEL_BACKEND`` environment variable, then ``"numpy"``.
 
     Unknown names raise :class:`ValueError` (a typo should fail loudly).
-    A *known but unavailable* backend — numba not installed, no C
-    compiler, a failed compile — degrades to numpy: ``on_fallback``
+    A *known but unavailable* backend — no C compiler, a failed
+    compile — degrades to numpy: ``on_fallback``
     (requested name, error) is invoked when given so callers can record a
     :class:`~repro.utils.resilience.ResilienceEvent`; otherwise a warning
     is logged. Instances are process-local singletons, so repeated

@@ -112,7 +112,7 @@ class SimulationEngine:
         loop. Outcomes are identical; only the wall time differs.
     backend:
         Kernel-backend selection for the struct-of-arrays sweeps: a
-        :mod:`repro.sim.backend` registry name (``"numpy"``, ``"numba"``,
+        :mod:`repro.sim.backend` registry name (``"numpy"`` or
         ``"cc"``), an already-resolved backend instance, or None to
         honour ``REPRO_KERNEL_BACKEND`` (default numpy). Unknown names
         raise at construction; a known-but-unavailable backend degrades
@@ -232,8 +232,8 @@ class SimulationEngine:
     def _resolve_backend(self):
         """Resolve the requested kernel backend once per engine.
 
-        A known-but-unavailable backend (numba not installed, no C
-        compiler) degrades to numpy and records a
+        A known-but-unavailable backend (``cc`` without a C compiler)
+        degrades to numpy and records a
         :data:`~repro.utils.resilience.KERNEL_FALLBACK` event: selection
         never changes outcomes.
         """

@@ -14,9 +14,8 @@ Backends (:mod:`repro.sim.backend`) promise three things:
   without changing outcomes, recording the degradation on the kernel
   (and, through the engine, as a resilience event).
 
-The compiled-backend cases parametrize over whatever is actually
-available here (the ``cc`` backend wherever a C compiler is on PATH; the
-numba arm runs in the CI leg that installs the ``perf`` extra).
+The compiled-backend cases run the ``cc`` backend wherever a C compiler
+is on PATH and skip elsewhere.
 """
 
 import numpy as np
@@ -43,7 +42,6 @@ from repro.sim.backend import (
     ENV_VAR,
     CcBackend,
     KernelBackend,
-    NumbaBackend,
     NumpyBackend,
     _reset_backend_caches,
     available_backends,
@@ -56,7 +54,7 @@ from repro.sim.kernel import BatchKernel, MultiCopyBatchKernel
 from repro.sim.message import Message
 from repro.utils.resilience import KERNEL_FALLBACK
 
-COMPILED = [name for name in ("numba", "cc") if BACKENDS[name].available()]
+COMPILED = [name for name in ("cc",) if BACKENDS[name].available()]
 
 
 def outcome_fields(outcomes):
@@ -120,8 +118,12 @@ class TestRegistry:
             check_backend_name(42)
 
     def test_resolve_unknown_name_raises(self):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            resolve_backend("fortran")
+        # A removed backend's name fails loudly rather than degrading.
+        for name in ("fortran", "numba"):
+            with pytest.raises(
+                ValueError, match="unknown kernel backend.*numpy, cc$"
+            ):
+                resolve_backend(name)
 
     def test_resolve_default_is_numpy(self, monkeypatch):
         monkeypatch.delenv(ENV_VAR, raising=False)
@@ -138,15 +140,18 @@ class TestRegistry:
         monkeypatch.setenv(ENV_VAR, "numpy")
         assert resolve_backend(None).name == "numpy"
 
-    def test_preferred_compiled_backend_ranking(self):
-        # numba > cc.
+    def test_preferred_compiled_backend_ranking(self, monkeypatch):
+        # cc when a compiler is present, None without one.
         preferred = preferred_compiled_backend()
-        if NumbaBackend.available():
-            assert preferred == "numba"
-        elif CcBackend.available():
-            assert preferred == "cc"
-        else:
-            assert preferred is None
+        assert preferred == ("cc" if CcBackend.available() else None)
+        _reset_backend_caches()
+        try:
+            monkeypatch.setattr(CcBackend, "_compiler", classmethod(
+                lambda cls: None
+            ))
+            assert preferred_compiled_backend() is None
+        finally:
+            _reset_backend_caches()
 
     def test_warmup_is_safe_on_every_available_backend(self):
         for name in available_backends():
@@ -155,38 +160,36 @@ class TestRegistry:
 
 class TestUnavailableFallback:
     @pytest.fixture(autouse=True)
-    def fresh_caches(self):
+    def compilerless_cc(self, monkeypatch):
+        # Hiding the C compiler (and dropping any already-loaded library)
+        # makes ``cc`` unavailable in every environment, so the
+        # degradation path runs even where gcc is installed.
         _reset_backend_caches()
+        monkeypatch.setattr(CcBackend, "_compiler", classmethod(
+            lambda cls: None
+        ))
         yield
         _reset_backend_caches()
 
-    def test_blocked_numba_degrades_to_numpy_with_callback(self, monkeypatch):
-        # Poisoning sys.modules makes ``import numba`` raise even when the
-        # package is installed, so this path is exercised in every
-        # environment — including the CI leg that has the perf extra.
-        monkeypatch.setitem(__import__("sys").modules, "numba", None)
-        assert not NumbaBackend.available()
-        assert "numba" not in available_backends()
-        assert "perf" in NumbaBackend.unavailable_reason()
+    def test_no_compiler_degrades_with_callback(self):
+        assert not CcBackend.available()
+        assert "cc" not in available_backends()
+        assert "compiler" in CcBackend.unavailable_reason()
 
         seen = []
         backend = resolve_backend(
-            "numba", on_fallback=lambda name, error: seen.append((name, error))
+            "cc", on_fallback=lambda name, error: seen.append((name, error))
         )
         assert backend.name == "numpy"
-        assert [name for name, _ in seen] == ["numba"]
+        assert [name for name, _ in seen] == ["cc"]
 
-    def test_blocked_numba_without_callback_logs_and_degrades(
-        self, monkeypatch, caplog
-    ):
-        monkeypatch.setitem(__import__("sys").modules, "numba", None)
+    def test_no_compiler_logs_and_degrades(self, caplog):
         with caplog.at_level("WARNING", logger="repro.sim.backend"):
-            backend = resolve_backend("numba")
+            backend = resolve_backend("cc")
         assert backend.name == "numpy"
         assert any("degrading to numpy" in r.message for r in caplog.records)
 
-    def test_engine_records_kernel_fallback_event(self, monkeypatch):
-        monkeypatch.setitem(__import__("sys").modules, "numba", None)
+    def test_engine_records_kernel_fallback_event(self):
         fresh, block = single_copy_workload(sessions=20)
 
         def run_engine(backend):
@@ -201,14 +204,14 @@ class TestUnavailableFallback:
             engine.run()
             return engine, [s.outcome() for s in batch]
 
-        degraded_engine, degraded = run_engine("numba")
+        degraded_engine, degraded = run_engine("cc")
         plain_engine, plain = run_engine(None)
 
         assert outcome_fields(degraded) == outcome_fields(plain)
         events = [
             e for e in degraded_engine.fallback_events if e.kind == KERNEL_FALLBACK
         ]
-        assert events and "numba" in events[0].where
+        assert events and events[0].where == "backend=cc"
         assert plain_engine.fallback_events == ()
 
 

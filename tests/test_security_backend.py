@@ -30,11 +30,8 @@ from repro.sim.backend import (
 )
 from repro.utils.resilience import KERNEL_FALLBACK
 
-# Every backend that implements the security ops in compiled form and
-# is actually usable here.
-SECURITY_BACKENDS = [
-    name for name in ("numba", "cc") if BACKENDS[name].available()
-]
+# The compiled backend, when it is usable here.
+SECURITY_BACKENDS = [name for name in ("cc",) if BACKENDS[name].available()]
 
 
 def variant(onion_routers=3, copies=1, rate=0.1):
