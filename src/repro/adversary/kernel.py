@@ -165,29 +165,6 @@ class SecurityTrialBlock:
             for c in range(copies)
         ]
 
-    def slice_trials(self, start: int, stop: int) -> "SecurityTrialBlock":
-        """The sub-block of trial rows ``[start, stop)``, as views.
-
-        Trials are mutually independent, so scoring a slice equals the
-        matching rows of scoring the full block — this is what lets
-        :func:`~repro.experiments.parallel.run_parallel_montecarlo` chunk
-        one shared block across workers without copying any column.
-        """
-        if not (0 <= start <= stop <= self.trials):
-            raise ValueError(
-                f"trial slice [{start}, {stop}) out of range for "
-                f"{self.trials} trials"
-            )
-        return SecurityTrialBlock(
-            n=self.n,
-            group_size=self.group_size,
-            sources=self.sources[start:stop],
-            destinations=self.destinations[start:stop],
-            copy_members=self.copy_members[start:stop],
-            compromise_keys=self.compromise_keys[start:stop],
-            overlapping=self.overlapping,
-        )
-
 
 def _sample_endpoints_batch(
     n: int, trials: int, rng: np.random.Generator

@@ -1,47 +1,54 @@
 """Parallel Monte Carlo batch execution.
 
 The figure batches (`run_random_graph_batch`, `run_faulty_graph_batch`,
-`run_trace_batch`, `security_montecarlo`) are embarrassingly parallel across
-sessions/trials, and the paper's methodology runs thousands of them per data
-point. This module splits one logical batch into chunks, runs the chunks on
-a ``concurrent.futures`` worker pool, and merges the results in submission
-order so the outcome is deterministic for a fixed master seed.
+`run_trace_batch`, the fused sweeps, `security_montecarlo`) are
+embarrassingly parallel across sessions/trials, and the paper's
+methodology runs thousands of them per data point. Every
+``run_parallel_*`` entry point goes through one path:
 
-Seeding: each chunk receives an independent child of the master
-:class:`numpy.random.SeedSequence` via ``SeedSequence.spawn()``. The
-default chunk layout is a pure function of the workload size
-(:func:`default_chunk_count`), *not* of the worker count, so for a fixed
-master seed the merged result is byte-identical across every requested
-worker count ≥ 2 and every effective process count — chunk streams never
-collide, and a machine upgrade cannot silently change a figure.
-``workers=1`` bypasses the pool and the spawning entirely — it calls the
-serial runner with the caller's generator, keeping historical seed-exact
-behaviour (and is therefore the one layout that differs: see
-``run_parallel_batch``).
+1. a *planner* splits the batch into chunks and spawns one independent
+   child of the master :class:`numpy.random.SeedSequence` per chunk
+   (``SeedSequence.spawn()``);
+2. one module-level *chunk runner* (``_run_chunk``) runs a chunk in a
+   worker — reattaching the shared event block if there is one, and
+   degrading kernel → object loop on failure;
+3. one *dispatcher* (:func:`parallel_map`) drives the chunks through a
+   submit/wait loop on a :class:`WorkerPool` and returns them in
+   submission order;
+4. the entry point's *merge* step combines the chunk results (list
+   concatenation, per-variant concatenation, or a trial-weighted mean).
 
-Two amortisation mechanisms make the parallel path profitable:
+Seeding: the default chunk layout is a pure function of the workload
+size (:func:`default_chunk_count`), *not* of the worker count, so for a
+fixed master seed the merged result is byte-identical across every
+requested worker count ≥ 2 and every effective process count — chunk
+streams never collide, and a machine upgrade cannot silently change a
+figure. ``workers=1`` bypasses chunking entirely — it calls the serial
+runner with the caller's generator and returns its result untouched,
+keeping historical seed-exact behaviour (and is therefore the one
+layout that differs: see ``run_parallel_batch``).
 
-* :class:`WorkerPool` — one persistent process pool reused across every
-  ``parallel_map`` call of a figure's sweep, instead of paying interpreter
-  spawn + import per call. The *requested* worker count only caps the
-  effective process count; the pool sizes its actual processes to the
-  machine (and degrades to inline execution on a single-CPU host), so the
-  merged results are identical everywhere.
-* ``shared_events`` — the contact-event stream is generated (or loaded)
-  once, registered in a :class:`~repro.experiments.shm.SharedBlockArena`,
-  and reattached zero-copy by every chunk through
-  :class:`~repro.contacts.events.ColumnarEventSource`: only a tiny
-  ``(shm_name, dtype, shape, offset)`` descriptor travels through the
-  task pickle, warm workers cache the mapping per segment name, and the
-  owner unlinks the segments on completion, crash, and interrupt alike.
+Ownership: every run executes on a :class:`WorkerPool`. A pool passed as
+``workers`` is reused and left running — one warm pool serves a whole
+figure sweep, and the *requested* worker count only caps its effective
+process count (a single-CPU host degrades to inline execution with the
+same merged results). An ``int`` ``workers`` opens a private pool for
+the one call and closes it on exit, normal or not. ``shared_events``
+blocks are registered once in the pool's
+:class:`~repro.experiments.shm.SharedBlockArena` and reattached
+zero-copy by every chunk through
+:class:`~repro.contacts.events.ColumnarEventSource`; only a tiny
+descriptor travels through the task pickle, and closing the pool
+unlinks the segments on completion, crash, and interrupt alike.
 
-Supervision: passing a :class:`~repro.utils.resilience.RetryPolicy`
-(directly or on the pool) upgrades ``parallel_map`` to a *supervised*
-dispatcher: every chunk gets a wall-clock budget, a hung or SIGKILLed
-worker is detected, the pool is rebuilt, and the affected chunks are
-re-executed from their original ``SeedSequence.spawn`` seeds — so a sweep
-that survived timeouts, crashes, and transient exceptions merges to a
-result byte-identical to an unfailed run. Failures are classified
+Supervision: without a :class:`~repro.utils.resilience.RetryPolicy` the
+dispatcher is fail-fast — the first chunk error cancels the outstanding
+chunks and re-raises. With one (passed directly or carried by the pool)
+every chunk gets a wall-clock budget, a hung or SIGKILLed worker is
+detected, the pool is rebuilt, and the affected chunks are re-executed
+from their original ``SeedSequence.spawn`` seeds — so a sweep that
+survived timeouts, crashes, and transient exceptions merges to a result
+byte-identical to an unfailed run. Failures are classified
 (:mod:`repro.utils.resilience`) and recorded on an
 :class:`~repro.utils.resilience.ExecutionReport`; the degradation ladder
 runs chunk-level (kernel → object loop inside a retried chunk)
@@ -51,13 +58,23 @@ and sweep-level (pool → serial once ``max_pool_restarts`` is exhausted).
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import inspect
 import os
 import pickle
 import time
 from collections import deque
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, List, NamedTuple, Sequence, Tuple, Union
+from typing import (
+    Any,
+    Callable,
+    Iterator,
+    List,
+    NamedTuple,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -124,29 +141,6 @@ def spawn_chunk_seeds(rng: RandomSource, count: int) -> List[np.random.SeedSeque
     return list(seed_seq.spawn(count))
 
 
-def _terminate_executor(executor: concurrent.futures.ProcessPoolExecutor) -> None:
-    """Kill an executor's worker processes and release its resources.
-
-    ``shutdown()`` alone joins the workers, which hangs forever on a hung or
-    signal-blocked chunk — so the processes are terminated first, then the
-    executor is shut down without waiting, then the corpses are reaped.
-    """
-    processes = list((getattr(executor, "_processes", None) or {}).values())
-    for process in processes:
-        try:
-            process.terminate()
-        except Exception:  # pragma: no cover - already-dead race
-            pass
-    executor.shutdown(wait=False, cancel_futures=True)
-    for process in processes:
-        try:
-            process.join(timeout=5.0)
-            if process.is_alive():  # pragma: no cover - uninterruptible state
-                process.kill()
-                process.join(timeout=5.0)
-        except Exception:  # pragma: no cover - already-reaped race
-            pass
-
 
 class WorkerPool:
     """A persistent process pool shared across many parallel calls.
@@ -156,9 +150,9 @@ class WorkerPool:
     master seed and requested workers merges to the same result on every
     machine. The pool itself sizes its processes to
     ``min(workers, os.cpu_count())`` (override with ``max_processes``) and
-    runs tasks inline — no subprocesses, no pickling — when that effective
-    size is one, which is both the single-CPU degradation and the cheap
-    path for ``workers=1``.
+    runs tasks inline — no subprocesses — when that effective size is
+    one, which is both the single-CPU degradation and the cheap path for
+    ``workers=1``.
 
     A pool constructed with a :class:`~repro.utils.resilience.RetryPolicy`
     is *supervised*: every ``parallel_map`` call through it gets per-chunk
@@ -173,8 +167,10 @@ class WorkerPool:
         with WorkerPool(4) as pool:
             first = run_parallel_batch(fn, sessions=1000, workers=pool, ...)
             second = run_parallel_batch(fn, sessions=1000, workers=pool, ...)
-    """
 
+    Passing an ``int`` as ``workers`` does the same with a private pool
+    that lives for one call.
+    """
     def __init__(
         self,
         workers: int,
@@ -260,11 +256,31 @@ class WorkerPool:
         Unlike :meth:`close`, the pool stays usable — the next submission
         lazily builds a fresh executor. This is the restart primitive the
         supervisor uses after a crash or timeout, and the prompt-shutdown
-        path on :class:`KeyboardInterrupt`.
+        path when a dispatch aborts (a chunk error without a policy, or
+        :class:`KeyboardInterrupt`).
         """
         executor, self._executor = self._executor, None
-        if executor is not None:
-            _terminate_executor(executor)
+        if executor is None:
+            return
+        # shutdown() alone joins the workers, which hangs forever on a hung
+        # or signal-blocked chunk — so the processes are terminated first,
+        # then the executor is shut down without waiting, then the corpses
+        # are reaped.
+        processes = list((getattr(executor, "_processes", None) or {}).values())
+        for process in processes:
+            try:
+                process.terminate()
+            except Exception:  # pragma: no cover - already-dead race
+                pass
+        executor.shutdown(wait=False, cancel_futures=True)
+        for process in processes:
+            try:
+                process.join(timeout=5.0)
+                if process.is_alive():  # pragma: no cover - uninterruptible state
+                    process.kill()
+                    process.join(timeout=5.0)
+            except Exception:  # pragma: no cover - already-reaped race
+                pass
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -303,50 +319,31 @@ def workers_metadata(workers: Workers) -> dict:
     return meta
 
 
-def _inline_map(fn: Callable[..., Any], tasks: Sequence[Tuple[Any, ...]]) -> List[Any]:
-    results = []
-    for index, task in enumerate(tasks):
-        try:
-            # Replicate process-pool semantics: every chunk works on its own
-            # pickled copy of the arguments, so stateful task state (churn
-            # schedules, fault RNGs) is never shared across chunks and the
-            # merged result is identical to a real multi-process run.
-            results.append(fn(*pickle.loads(pickle.dumps(task))))
-        except Exception as error:
-            error.add_note(f"parallel_map: chunk {index}/{len(tasks)} failed (inline)")
-            raise
-    return results
+@contextlib.contextmanager
+def _opened(
+    workers: Workers,
+    policy: RetryPolicy | None,
+    report: ExecutionReport | None,
+) -> Iterator[Tuple[WorkerPool, RetryPolicy | None, ExecutionReport | None]]:
+    """``(pool, policy, report)`` for one call.
 
-
-def _collect(
-    fn: Callable[..., Any],
-    tasks: Sequence[Tuple[Any, ...]],
-    executor: concurrent.futures.ProcessPoolExecutor,
-    terminate: Callable[[], None] | None = None,
-) -> List[Any]:
-    futures = [executor.submit(fn, *task) for task in tasks]
-    results = []
-    for index, future in enumerate(futures):
-        try:
-            results.append(future.result())
-        except BaseException as error:
-            # Don't leave stragglers running a doomed batch: cancel
-            # everything not yet started before propagating.
-            for later in futures[index + 1:]:
-                later.cancel()
-            if not isinstance(error, Exception):
-                # KeyboardInterrupt / SystemExit: chunks already running
-                # would make shutdown join forever — kill the workers so the
-                # interrupt lands promptly and no process leaks.
-                if terminate is not None:
-                    terminate()
-                raise
-            error.add_note(
-                f"parallel_map: chunk {index}/{len(futures)} failed; "
-                "outstanding chunks cancelled"
-            )
-            raise
-    return results
+    A :class:`WorkerPool` is used as is and left running; an ``int`` opens
+    a private pool that is closed — unlinking its arena — when the call
+    exits, including on :class:`KeyboardInterrupt`. A ``policy``/``report``
+    passed to the call overrides the pool's; a policy without a report
+    gets a fresh :class:`~repro.utils.resilience.ExecutionReport`.
+    """
+    if not isinstance(workers, WorkerPool):
+        with WorkerPool(workers, policy=policy, report=report) as pool:
+            yield pool, pool.policy, pool.report
+        return
+    if policy is None:
+        policy = workers.policy
+    if report is None:
+        report = workers.report
+    if policy is not None and report is None:
+        report = ExecutionReport()
+    yield workers, policy, report
 
 
 def _inline_supervised(
@@ -354,13 +351,18 @@ def _inline_supervised(
     task: Tuple[Any, ...],
     index: int,
     total: int,
-    policy: RetryPolicy,
-    report: ExecutionReport,
+    policy: RetryPolicy | None,
+    report: ExecutionReport | None,
 ) -> Any:
-    """Run one chunk in-process with bounded retries (last supervision rung).
+    """Run one chunk in-process, with bounded retries under a policy.
 
-    Serves both the single-process pool and chunks whose pooled retries are
-    exhausted. Timeouts cannot be enforced here — an in-process chunk is
+    Serves the single-process pool, chunks whose pooled retries are
+    exhausted, and a sweep degraded to serial. Every attempt works on its
+    own pickled copy of the arguments — process-pool semantics, so
+    stateful task state (churn schedules, fault RNGs) is never shared
+    across chunks and the merged result is identical to a real
+    multi-process run. Without a policy the first failure raises.
+    Timeouts cannot be enforced here — an in-process chunk is
     uninterruptible — so only exceptions are retried.
     """
     attempt = 1
@@ -368,6 +370,11 @@ def _inline_supervised(
         try:
             return fn(*pickle.loads(pickle.dumps(task)))
         except Exception as error:
+            if policy is None:
+                error.add_note(
+                    f"parallel_map: chunk {index}/{total} failed (inline)"
+                )
+                raise
             exhausted = attempt > policy.max_retries
             report.record(
                 CHUNK_ERROR,
@@ -386,29 +393,35 @@ def _inline_supervised(
             attempt += 1
 
 
-def _supervised_map(
+def _dispatch(
     fn: Callable[..., Any],
     tasks: Sequence[Tuple[Any, ...]],
     pool: WorkerPool,
-    policy: RetryPolicy,
-    report: ExecutionReport,
+    policy: RetryPolicy | None,
+    report: ExecutionReport | None,
 ) -> List[Any]:
-    """Dispatch chunks with timeouts, crash recovery, and bounded retries.
+    """The one dispatch loop: submit, wait, collect in submission order.
 
-    Submission is bounded to the pool's process count so a chunk's
+    Without a policy every chunk is submitted at once and the first chunk
+    error cancels the outstanding chunks and re-raises. With one,
+    submission is bounded to the pool's process count so a chunk's
     wall-clock budget starts ticking when it actually starts running. A
     timed-out or crashed pool is killed and rebuilt (bounded by
     ``policy.max_pool_restarts``, after which the whole sweep degrades to
     serial in-process execution), and the affected chunks re-execute from
     their original argument tuples — same seeds, byte-identical results.
+    Any exception leaving the loop — :class:`KeyboardInterrupt` included —
+    kills the workers so nothing keeps running a doomed batch.
     """
     total = len(tasks)
     results: List[Any] = [None] * total
-    if pool.processes == 1 or report.degraded_to_serial:
+    if pool.processes == 1 or (report is not None and report.degraded_to_serial):
         for index, task in enumerate(tasks):
             results[index] = _inline_supervised(fn, task, index, total, policy, report)
         return results
 
+    capacity = total if policy is None else pool.processes
+    budget = None if policy is None else policy.timeout
     pending = deque((index, 1) for index in range(total))
     inflight: dict = {}  # future -> (index, attempt, deadline)
 
@@ -446,7 +459,7 @@ def _supervised_map(
 
     try:
         while pending or inflight:
-            if report.degraded_to_serial:
+            if report is not None and report.degraded_to_serial:
                 # The pool kept dying; finish everything left in-process.
                 for index, _ in sorted(pending):
                     results[index] = _inline_supervised(
@@ -455,24 +468,22 @@ def _supervised_map(
                 pending.clear()
                 break
             submit_broken = False
-            while pending and len(inflight) < pool.processes:
+            while pending and len(inflight) < capacity:
                 index, attempt = pending.popleft()
-                if attempt > policy.max_retries + 1:
-                    # Pooled retries exhausted: degrade this chunk to inline.
-                    results[index] = _inline_supervised(
-                        fn, tasks[index], index, total, policy, report
-                    )
-                    continue
                 if attempt > 1:
+                    if attempt > policy.max_retries + 1:
+                        # Pooled retries exhausted: degrade this chunk to inline.
+                        results[index] = _inline_supervised(
+                            fn, tasks[index], index, total, policy, report
+                        )
+                        continue
                     policy.pause(attempt - 1, key=index)
-                deadline = (
-                    time.monotonic() + policy.timeout
-                    if policy.timeout is not None
-                    else None
-                )
+                deadline = None if budget is None else time.monotonic() + budget
                 try:
                     future = pool._ensure_executor().submit(fn, *tasks[index])
                 except BrokenProcessPool:
+                    if policy is None:
+                        raise
                     # The pool died between waits; this chunk never started,
                     # so it goes back at the same attempt.
                     pending.appendleft((index, attempt))
@@ -501,17 +512,24 @@ def _supervised_map(
                 index, attempt, _ = inflight.pop(future)
                 try:
                     results[index] = future.result()
-                except BrokenProcessPool:
-                    broken = True
-                    report.record(
-                        WORKER_CRASH,
-                        f"chunk {index}",
-                        attempt=attempt,
-                        detail="worker process died while chunk was in flight",
-                        resolution="retried",
-                    )
-                    pending.appendleft((index, attempt + 1))
                 except Exception as error:
+                    if policy is None:
+                        error.add_note(
+                            f"parallel_map: chunk {index}/{total} failed; "
+                            "outstanding chunks cancelled"
+                        )
+                        raise
+                    if isinstance(error, BrokenProcessPool):
+                        broken = True
+                        report.record(
+                            WORKER_CRASH,
+                            f"chunk {index}",
+                            attempt=attempt,
+                            detail="worker process died while chunk was in flight",
+                            resolution="retried",
+                        )
+                        pending.appendleft((index, attempt + 1))
+                        continue
                     exhausted = attempt > policy.max_retries
                     report.record(
                         CHUNK_ERROR,
@@ -527,7 +545,7 @@ def _supervised_map(
                 )
                 restart_pool()
                 continue
-            if policy.timeout is not None and inflight:
+            if budget is not None and inflight:
                 now = time.monotonic()
                 overdue = sorted(
                     meta
@@ -550,9 +568,7 @@ def _supervised_map(
                             CHUNK_TIMEOUT,
                             f"chunk {index}",
                             attempt=attempt,
-                            detail=(
-                                f"exceeded {policy.timeout:g}s wall-clock budget"
-                            ),
+                            detail=f"exceeded {budget:g}s wall-clock budget",
                             resolution="retried",
                         )
                     for index, attempt, _ in reversed(survivors):
@@ -578,70 +594,41 @@ def parallel_map(
 ) -> List[Any]:
     """Apply ``fn`` to argument tuples on a process pool; ordered results.
 
-    ``workers`` is either an ``int`` (a private pool is created for this
-    call and torn down afterwards) or a :class:`WorkerPool` (the shared
-    pool is reused and left running). Either way the *effective* process
-    count is capped at the machine's CPU count, and an effective count of
-    one runs inline — no pool, no pickling. ``fn`` and every argument must
-    be picklable when subprocesses are used.
+    ``workers`` is either an ``int`` (a private :class:`WorkerPool` is
+    opened for this call and closed afterwards) or a :class:`WorkerPool`
+    (reused and left running). Either way the *effective* process count
+    is capped at the machine's CPU count, and an effective count of one
+    runs inline. ``fn`` and every argument must be picklable.
 
     With a :class:`~repro.utils.resilience.RetryPolicy` (passed here or
     carried by the pool), dispatch is *supervised*: per-chunk wall-clock
     timeouts, crash detection with pool rebuilds, bounded seed-exact
     retries, and incident rows on ``report``. Without one, a chunk failure
     cancels the outstanding chunks and re-raises with the failing chunk
-    index attached as a note; :class:`KeyboardInterrupt` terminates the
-    workers promptly instead of hanging on shutdown.
+    index attached as a note. Either way :class:`KeyboardInterrupt`
+    terminates the workers promptly instead of hanging on shutdown.
     """
-    if isinstance(workers, WorkerPool):
-        if policy is None:
-            policy = workers.policy
-        if report is None:
-            report = workers.report
-        if policy is not None:
-            return _supervised_map(
-                fn, tasks, workers, policy, report if report is not None else ExecutionReport()
-            )
-        if workers.processes == 1:
-            return _inline_map(fn, tasks)
-        return _collect(
-            fn, tasks, workers._ensure_executor(), terminate=workers.terminate
-        )
-    check_positive_int(workers, "workers")
-    if policy is not None:
-        with WorkerPool(workers, policy=policy, report=report) as pool:
-            return _supervised_map(fn, tasks, pool, policy, pool.report)
-    processes = min(workers, os.cpu_count() or 1)
-    if processes == 1:
-        return _inline_map(fn, tasks)
-    executor = concurrent.futures.ProcessPoolExecutor(max_workers=processes)
-    try:
-        return _collect(
-            fn, tasks, executor, terminate=lambda: _terminate_executor(executor)
-        )
-    finally:
-        executor.shutdown(wait=True, cancel_futures=True)
+    with _opened(workers, policy, report) as (pool, policy, report):
+        return _dispatch(fn, tasks, pool, policy, report)
 
 
 class _ChunkPayload(NamedTuple):
     """A chunk result plus the JSON-safe incident rows recorded computing it.
 
-    Chunk functions return this envelope so degradation events that happened
-    inside a worker process survive the trip back to the parent, where the
-    mergers unwrap the result and feed the rows into the sweep's
-    :class:`~repro.utils.resilience.ExecutionReport`.
+    The chunk runner returns this envelope so degradation events that
+    happened inside a worker process survive the trip back to the parent,
+    where the planner unwraps the result and feeds the rows into the
+    sweep's :class:`~repro.utils.resilience.ExecutionReport`.
     """
 
     result: Any
     events: List[dict]
 
 
-def _unwrap_chunk(part: Any, report: ExecutionReport | None) -> Any:
-    if isinstance(part, _ChunkPayload):
-        if report is not None and part.events:
-            report.extend(part.events)
-        return part.result
-    return part
+def _unwrap_chunk(part: _ChunkPayload, report: ExecutionReport | None) -> Any:
+    if report is not None and part.events:
+        report.extend(part.events)
+    return part.result
 
 
 def _supports_keyword(fn: Callable[..., Any], name: str) -> bool:
@@ -704,78 +691,85 @@ def _run_chunk_with_ladder(
     raise AssertionError("unreachable")  # pragma: no cover
 
 
-def _run_batch_chunk(
-    batch_fn: Callable[..., list],
-    sessions: int,
+def _run_chunk(
+    fn: Callable[..., Any],
+    size_keyword: str,
+    size: int,
     seed_seq: np.random.SeedSequence,
+    events_descriptor: BlockDescriptor | None,
     kwargs: dict,
 ) -> _ChunkPayload:
-    """One worker's share of a session batch (module-level for pickling)."""
-    return _run_chunk_with_ladder(
-        batch_fn,
-        getattr(batch_fn, "__name__", "batch"),
-        kwargs,
-        lambda rung_kwargs: batch_fn(
-            sessions=sessions, rng=np.random.default_rng(seed_seq), **rung_kwargs
-        ),
-    )
+    """One chunk of any ``run_parallel_*`` call (module-level for pickling).
 
-
-def _share_block(workers: "Workers", block) -> Tuple[BlockDescriptor, SharedBlockArena | None]:
-    """Register ``block`` for shipping; ``(descriptor, arena-to-unlink)``.
-
-    A :class:`WorkerPool` owns its arena (unlinked at ``close()``, shared
-    across sweep points); ``int`` workers get a per-call arena the caller
-    must unlink in a ``finally`` — the :class:`KeyboardInterrupt` /
-    crash-safety contract.
+    Calls ``fn(<size_keyword>=size, rng=<chunk generator>, **kwargs)``
+    through the degradation ladder. With an ``events_descriptor`` the
+    shared :class:`EventBlock` is reattached once and replayed through a
+    fresh :class:`ColumnarEventSource` per rung, since a partially
+    consumed cursor must never be reused.
     """
-    if isinstance(workers, WorkerPool):
-        return workers.share_block(block), None
-    arena = SharedBlockArena()
-    return arena.register(block), arena
+    block = None if events_descriptor is None else attach_block(events_descriptor)
 
-
-def _run_shared_batch_chunk(
-    batch_fn: Callable[..., list],
-    sessions: int,
-    seed_seq: np.random.SeedSequence,
-    payload,
-    kwargs: dict,
-) -> _ChunkPayload:
-    """Batch chunk replaying a shared columnar event stream.
-
-    The parent registers the :class:`EventBlock` once; every chunk
-    reattaches it and replays it through a fresh cursor (rebuilt per
-    ladder rung, since a partially consumed cursor must never be reused).
-    """
-    block = attach_block(payload)
-    return _run_chunk_with_ladder(
-        batch_fn,
-        getattr(batch_fn, "__name__", "batch"),
-        kwargs,
-        lambda rung_kwargs: batch_fn(
-            sessions=sessions,
+    def call(rung_kwargs: dict) -> Any:
+        if block is not None:
+            rung_kwargs = dict(rung_kwargs, events=ColumnarEventSource(block))
+        return fn(
+            **{size_keyword: size},
             rng=np.random.default_rng(seed_seq),
-            events=ColumnarEventSource(block),
             **rung_kwargs,
-        ),
+        )
+
+    return _run_chunk_with_ladder(
+        fn, getattr(fn, "__name__", "chunk"), kwargs, call
     )
 
 
-def _resolve_supervision(
+def _run_chunked(
+    fn: Callable[..., Any],
+    size_keyword: str,
+    total: int,
     workers: Workers,
+    rng: RandomSource,
+    chunks: int | None,
+    shared_events: EventBlock | None,
     policy: RetryPolicy | None,
     report: ExecutionReport | None,
-) -> Tuple[RetryPolicy | None, ExecutionReport | None]:
-    """Adopt a pool's policy/report when the caller didn't pass their own."""
-    if isinstance(workers, WorkerPool):
-        if policy is None:
-            policy = workers.policy
-        if report is None:
-            report = workers.report
-    if policy is not None and report is None:
-        report = ExecutionReport()
-    return policy, report
+    kwargs: dict,
+    merge: Callable[[List[int], List[Any]], Any],
+) -> Any:
+    """The planner behind every ``run_parallel_*`` entry point.
+
+    ``workers == 1`` calls ``fn`` once with the caller's generator and
+    returns its result untouched — no chunking, no merge arithmetic — so
+    the serial figures stay byte-identical. Otherwise ``total`` is split
+    by :func:`chunk_sizes`, every chunk gets a spawned seed, the optional
+    ``shared_events`` block is registered in the pool's arena, and
+    ``merge(sizes, results)`` combines the per-chunk results, which
+    arrive in chunk order.
+    """
+    if worker_count(workers) == 1:
+        if shared_events is not None:
+            kwargs = dict(kwargs, events=shared_events)
+        return fn(**{size_keyword: total}, rng=rng, **kwargs)
+    if shared_events is not None and not isinstance(shared_events, EventBlock):
+        raise TypeError(
+            f"shared_events must be an EventBlock, got "
+            f"{type(shared_events).__name__}"
+        )
+    sizes = chunk_sizes(
+        total, chunks if chunks is not None else default_chunk_count(total)
+    )
+    seeds = spawn_chunk_seeds(rng, len(sizes))
+    with _opened(workers, policy, report) as (pool, policy, report):
+        descriptor = (
+            None if shared_events is None else pool.share_block(shared_events)
+        )
+        tasks = [
+            (fn, size_keyword, size, seed, descriptor, kwargs)
+            for size, seed in zip(sizes, seeds)
+        ]
+        parts = _dispatch(_run_chunk, tasks, pool, policy, report)
+        results = [_unwrap_chunk(part, report) for part in parts]
+    return merge(sizes, results)
 
 
 def run_parallel_batch(
@@ -785,8 +779,6 @@ def run_parallel_batch(
     rng: RandomSource = None,
     chunks: int | None = None,
     shared_events: EventBlock | None = None,
-    kernel: bool | None = None,
-    backend: str | None = None,
     policy: RetryPolicy | None = None,
     report: ExecutionReport | None = None,
     **kwargs: Any,
@@ -803,13 +795,14 @@ def run_parallel_batch(
     sessions:
         Total sessions across all chunks.
     workers:
-        Requested parallelism: an ``int`` or a persistent
-        :class:`WorkerPool`. ``1`` calls ``batch_fn`` directly with ``rng``
-        (seed-exact with the serial path — which is why ``workers=1`` is
-        the one configuration whose outcomes differ from the chunked
-        runs: the serial path consumes the caller's generator itself,
-        while chunks draw from ``SeedSequence.spawn`` children; both are
-        equally valid samples of the same distribution).
+        Requested parallelism: an ``int`` (a private pool for this call)
+        or a persistent :class:`WorkerPool`. ``1`` calls ``batch_fn``
+        directly with ``rng`` (seed-exact with the serial path — which is
+        why ``workers=1`` is the one configuration whose outcomes differ
+        from the chunked runs: the serial path consumes the caller's
+        generator itself, while chunks draw from ``SeedSequence.spawn``
+        children; both are equally valid samples of the same
+        distribution).
     rng:
         Master seed source; chunk streams are spawned from it.
     chunks:
@@ -819,20 +812,10 @@ def run_parallel_batch(
         the cost of more per-chunk setup.
     shared_events:
         Optional pre-generated :class:`EventBlock` shipped to every chunk
-        (``batch_fn`` must accept an ``events=`` keyword) through a
-        shared-memory arena — chunks reattach it zero-copy. Without it
-        each chunk regenerates its own event stream from the chunk seed.
-    kernel:
-        When not ``None``, forwarded to ``batch_fn`` as its ``kernel=``
-        knob (struct-of-arrays sweep for eligible sessions in every
-        chunk). ``None`` omits the keyword, keeping compatibility with
-        batch functions that predate it.
-    backend:
-        When not ``None``, forwarded to ``batch_fn`` as its ``backend=``
-        kernel-backend name (see :mod:`repro.sim.backend`). Backends are
-        addressed by *name* so the knob pickles cleanly into worker
-        processes — each worker resolves (and dlopens) its
-        own backend instance.
+        (``batch_fn`` must accept an ``events=`` keyword) through the
+        pool's shared-memory arena — chunks reattach it zero-copy.
+        Without it each chunk regenerates its own event stream from the
+        chunk seed.
     policy / report:
         Optional :class:`~repro.utils.resilience.RetryPolicy` and
         :class:`~repro.utils.resilience.ExecutionReport` for supervised
@@ -840,6 +823,10 @@ def run_parallel_batch(
         supervised :class:`WorkerPool`. Chunk-level degradation events
         (kernel → object loop) recorded inside workers are merged
         into the report.
+    **kwargs:
+        Forwarded to every ``batch_fn`` call — the workload, and knobs
+        such as ``kernel=`` or ``backend=`` (backends travel by *name*,
+        so each worker resolves its own instance).
 
     Results are concatenated in chunk order, so the merged list is
     deterministic for a fixed master seed and — because the default chunk
@@ -847,88 +834,10 @@ def run_parallel_batch(
     worker count ≥ 2, regardless of the effective pool size or completion
     order.
     """
-    if kernel is not None:
-        kwargs = dict(kwargs, kernel=kernel)
-    if backend is not None:
-        kwargs = dict(kwargs, backend=backend)
-    policy, report = _resolve_supervision(workers, policy, report)
-    requested = worker_count(workers)
-    if requested == 1:
-        if shared_events is not None:
-            kwargs = dict(kwargs, events=shared_events)
-        return batch_fn(sessions=sessions, rng=rng, **kwargs)
-    sizes = chunk_sizes(
-        sessions, chunks if chunks is not None else default_chunk_count(sessions)
-    )
-    seeds = spawn_chunk_seeds(rng, len(sizes))
-    own_arena: SharedBlockArena | None = None
-    if shared_events is None:
-        tasks = [
-            (batch_fn, size, seed, kwargs) for size, seed in zip(sizes, seeds)
-        ]
-        chunk_fn: Callable[..., list] = _run_batch_chunk
-    else:
-        if not isinstance(shared_events, EventBlock):
-            raise TypeError(
-                f"shared_events must be an EventBlock, got "
-                f"{type(shared_events).__name__}"
-            )
-        payload, own_arena = _share_block(workers, shared_events)
-        tasks = [
-            (batch_fn, size, seed, payload, kwargs)
-            for size, seed in zip(sizes, seeds)
-        ]
-        chunk_fn = _run_shared_batch_chunk
-    try:
-        merged: list = []
-        for part in parallel_map(
-            chunk_fn, tasks, workers, policy=policy, report=report
-        ):
-            merged.extend(_unwrap_chunk(part, report))
-        return merged
-    finally:
-        if own_arena is not None:
-            own_arena.unlink()
-
-
-def _run_fused_sweep_chunk(
-    sweep_fn: Callable[..., list],
-    sessions_per_variant: int,
-    seed_seq: np.random.SeedSequence,
-    kwargs: dict,
-) -> _ChunkPayload:
-    """One worker's share of a fused sweep (module-level for pickling)."""
-    return _run_chunk_with_ladder(
-        sweep_fn,
-        getattr(sweep_fn, "__name__", "sweep"),
-        kwargs,
-        lambda rung_kwargs: sweep_fn(
-            sessions_per_variant=sessions_per_variant,
-            rng=np.random.default_rng(seed_seq),
-            **rung_kwargs,
-        ),
-    )
-
-
-def _run_shared_fused_sweep_chunk(
-    sweep_fn: Callable[..., list],
-    sessions_per_variant: int,
-    seed_seq: np.random.SeedSequence,
-    payload,
-    kwargs: dict,
-) -> _ChunkPayload:
-    """Fused-sweep chunk replaying a shared columnar event stream."""
-    block = attach_block(payload)
-    return _run_chunk_with_ladder(
-        sweep_fn,
-        getattr(sweep_fn, "__name__", "sweep"),
-        kwargs,
-        lambda rung_kwargs: sweep_fn(
-            sessions_per_variant=sessions_per_variant,
-            rng=np.random.default_rng(seed_seq),
-            events=ColumnarEventSource(block),
-            **rung_kwargs,
-        ),
+    return _run_chunked(
+        batch_fn, "sessions", sessions, workers, rng, chunks, shared_events,
+        policy, report, kwargs,
+        merge=lambda _sizes, parts: [item for part in parts for item in part],
     )
 
 
@@ -940,8 +849,6 @@ def run_parallel_fused_sweep(
     rng: RandomSource = None,
     chunks: int | None = None,
     shared_events: EventBlock | None = None,
-    kernel: bool | None = None,
-    backend: str | None = None,
     policy: RetryPolicy | None = None,
     report: ExecutionReport | None = None,
     **kwargs: Any,
@@ -961,50 +868,13 @@ def run_parallel_fused_sweep(
     ``sessions_per_variant``), following the
     :func:`run_parallel_batch` conventions for ``rng``, ``chunks``,
     ``shared_events`` (graph sweeps only — trace sweeps replay the trace
-    themselves), ``kernel``, ``backend``, and ``policy``/``report``.
+    themselves), ``policy``/``report``, and ``**kwargs``.
     """
-    if kernel is not None:
-        kwargs = dict(kwargs, kernel=kernel)
-    if backend is not None:
-        kwargs = dict(kwargs, backend=backend)
-    policy, report = _resolve_supervision(workers, policy, report)
-    kwargs = dict(kwargs, variants=list(variants))
-    requested = worker_count(workers)
-    if requested == 1:
-        if shared_events is not None:
-            kwargs = dict(kwargs, events=shared_events)
-        return sweep_fn(
-            sessions_per_variant=sessions_per_variant, rng=rng, **kwargs
-        )
-    sizes = chunk_sizes(
-        sessions_per_variant,
-        chunks if chunks is not None else default_chunk_count(sessions_per_variant),
-    )
-    seeds = spawn_chunk_seeds(rng, len(sizes))
-    own_arena: SharedBlockArena | None = None
-    if shared_events is None:
-        tasks = [
-            (sweep_fn, size, seed, kwargs) for size, seed in zip(sizes, seeds)
-        ]
-        chunk_fn: Callable[..., list] = _run_fused_sweep_chunk
-    else:
-        if not isinstance(shared_events, EventBlock):
-            raise TypeError(
-                f"shared_events must be an EventBlock, got "
-                f"{type(shared_events).__name__}"
-            )
-        payload, own_arena = _share_block(workers, shared_events)
-        tasks = [
-            (sweep_fn, size, seed, payload, kwargs)
-            for size, seed in zip(sizes, seeds)
-        ]
-        chunk_fn = _run_shared_fused_sweep_chunk
-    try:
+    variants = list(variants)
+
+    def merge(_sizes: List[int], parts: List[list]) -> list:
         merged: list = [[] for _ in variants]
-        for raw in parallel_map(
-            chunk_fn, tasks, workers, policy=policy, report=report
-        ):
-            part = _unwrap_chunk(raw, report)
+        for part in parts:
             if len(part) != len(merged):
                 raise ValueError(
                     f"fused sweep chunk returned {len(part)} variant lists "
@@ -1013,55 +883,11 @@ def run_parallel_fused_sweep(
             for variant_results, chunk_results in zip(merged, part):
                 variant_results.extend(chunk_results)
         return merged
-    finally:
-        if own_arena is not None:
-            own_arena.unlink()
 
-
-def _run_montecarlo_chunk(
-    mc_fn: Callable[..., Tuple[float, ...]],
-    trials: int,
-    seed_seq: np.random.SeedSequence,
-    kwargs: dict,
-) -> _ChunkPayload:
-    """One worker's share of a Monte Carlo estimate (module-level)."""
-    return _run_chunk_with_ladder(
-        mc_fn,
-        getattr(mc_fn, "__name__", "montecarlo"),
-        kwargs,
-        lambda rung_kwargs: mc_fn(
-            trials=trials, rng=np.random.default_rng(seed_seq), **rung_kwargs
-        ),
-    )
-
-
-def _run_shared_montecarlo_chunk(
-    mc_fn: Callable[..., Tuple[float, ...]],
-    trials: int,
-    offset: int,
-    seed_seq: np.random.SeedSequence,
-    payload,
-    kwargs: dict,
-) -> _ChunkPayload:
-    """Monte Carlo chunk scoring a row slice of one shared trial block.
-
-    Trials are independent rows, so chunk ``k`` scores
-    ``block[offset : offset + trials]`` — views into the shared segment,
-    no copies — and the trial-weighted merge reproduces the full-block
-    estimate.
-    """
-    block = attach_block(payload)
-    chunk_block = block.slice_trials(offset, offset + trials)
-    return _run_chunk_with_ladder(
-        mc_fn,
-        getattr(mc_fn, "__name__", "montecarlo"),
-        kwargs,
-        lambda rung_kwargs: mc_fn(
-            trials=trials,
-            rng=np.random.default_rng(seed_seq),
-            block=chunk_block,
-            **rung_kwargs,
-        ),
+    return _run_chunked(
+        sweep_fn, "sessions_per_variant", sessions_per_variant, workers, rng,
+        chunks, shared_events, policy, report,
+        dict(kwargs, variants=variants), merge,
     )
 
 
@@ -1071,9 +897,6 @@ def run_parallel_montecarlo(
     workers: Workers,
     rng: RandomSource = None,
     chunks: int | None = None,
-    shared_block=None,
-    kernel: bool | None = None,
-    backend: str | None = None,
     policy: RetryPolicy | None = None,
     report: ExecutionReport | None = None,
     **kwargs: Any,
@@ -1085,81 +908,30 @@ def run_parallel_montecarlo(
     of per-trial means, the same width for every chunk; chunk results are
     merged as a trial-count-weighted average, so the estimate is unbiased
     for any chunking. Malformed chunk results (empty, or width-mismatched)
-    raise :class:`ValueError` instead of crashing the merge.
-
-    ``shared_block`` ships one pre-sampled
-    :class:`~repro.adversary.kernel.SecurityTrialBlock` (``trials`` rows)
-    through the shared-memory arena; each chunk scores its own row slice
-    (``mc_fn`` must accept a ``block=`` keyword, e.g.
-    :func:`~repro.experiments.runners.security_sweep_montecarlo`), so the
-    sampling cost is paid once and the workers only score.
-
-    ``kernel`` and ``backend`` follow the :func:`run_parallel_batch`
-    convention: ``None`` omits the keyword, anything else is forwarded to
-    ``mc_fn`` (backends travel by name so they pickle into workers).
+    raise :class:`ValueError` instead of crashing the merge. ``rng``,
+    ``chunks``, ``policy``/``report`` and ``**kwargs`` follow the
+    :func:`run_parallel_batch` conventions.
     """
-    if kernel is not None:
-        kwargs = dict(kwargs, kernel=kernel)
-    if backend is not None:
-        kwargs = dict(kwargs, backend=backend)
-    policy, report = _resolve_supervision(workers, policy, report)
-    if shared_block is not None:
-        from repro.adversary.kernel import SecurityTrialBlock
 
-        if not isinstance(shared_block, SecurityTrialBlock):
-            raise TypeError(
-                f"shared_block must be a SecurityTrialBlock, got "
-                f"{type(shared_block).__name__}"
-            )
-        if shared_block.trials != trials:
-            raise ValueError(
-                f"shared_block holds {shared_block.trials} trials but the "
-                f"run asked for {trials}"
-            )
-    requested = worker_count(workers)
-    if requested == 1:
-        if shared_block is not None:
-            kwargs = dict(kwargs, block=shared_block)
-        return mc_fn(trials=trials, rng=rng, **kwargs)
-    sizes = chunk_sizes(
-        trials, chunks if chunks is not None else default_chunk_count(trials)
+    def merge(sizes: List[int], results: List[Tuple[float, ...]]) -> Tuple[float, ...]:
+        width = None
+        for index, values in enumerate(results):
+            if width is None:
+                width = len(values)
+            if len(values) == 0 or len(values) != width:
+                raise ValueError(
+                    f"montecarlo chunk {index} returned {len(values)} estimates "
+                    f"(expected {width or 'at least one'}): "
+                    f"{getattr(mc_fn, '__name__', mc_fn)!r} must return one "
+                    "fixed-width non-empty tuple per chunk"
+                )
+        totals = np.zeros(width)
+        for size, values in zip(sizes, results):
+            totals += np.asarray(values, dtype=float) * size
+        merged = totals / sum(sizes)
+        return tuple(float(v) for v in merged)
+
+    return _run_chunked(
+        mc_fn, "trials", trials, workers, rng, chunks, None, policy, report,
+        kwargs, merge,
     )
-    seeds = spawn_chunk_seeds(rng, len(sizes))
-    own_arena: SharedBlockArena | None = None
-    if shared_block is None:
-        tasks = [(mc_fn, size, seed, kwargs) for size, seed in zip(sizes, seeds)]
-        chunk_fn: Callable[..., Any] = _run_montecarlo_chunk
-    else:
-        payload, own_arena = _share_block(workers, shared_block)
-        offsets = np.concatenate(([0], np.cumsum(sizes)))[:-1]
-        tasks = [
-            (mc_fn, size, int(offset), seed, payload, kwargs)
-            for size, offset, seed in zip(sizes, offsets, seeds)
-        ]
-        chunk_fn = _run_shared_montecarlo_chunk
-    try:
-        results = [
-            _unwrap_chunk(part, report)
-            for part in parallel_map(
-                chunk_fn, tasks, workers, policy=policy, report=report
-            )
-        ]
-    finally:
-        if own_arena is not None:
-            own_arena.unlink()
-    width = None
-    for index, values in enumerate(results):
-        if width is None:
-            width = len(values)
-        if len(values) == 0 or len(values) != width:
-            raise ValueError(
-                f"montecarlo chunk {index} returned {len(values)} estimates "
-                f"(expected {width or 'at least one'}): "
-                f"{getattr(mc_fn, '__name__', mc_fn)!r} must return one "
-                "fixed-width non-empty tuple per chunk"
-            )
-    totals = np.zeros(width)
-    for size, values in zip(sizes, results):
-        totals += np.asarray(values, dtype=float) * size
-    merged = totals / sum(sizes)
-    return tuple(float(v) for v in merged)

@@ -517,7 +517,6 @@ def security_sweep_montecarlo(
     overlapping: bool = False,
     kernel: Optional[bool] = None,
     compromise_model: "str | CompromiseModel" = "uniform",
-    block: Optional[SecurityTrialBlock] = None,
     backend: Optional[str] = None,
 ) -> Tuple[float, ...]:
     """Fused Monte Carlo over a ``(c, K, L)`` security grid.
@@ -542,13 +541,6 @@ def security_sweep_montecarlo(
     ``compromise_model`` selects the adversary: a registry name
     (``uniform``, ``bernoulli``, ``targeted``, ``stake``) or a
     :class:`~repro.adversary.compromise.CompromiseModel` instance.
-
-    ``block`` supplies a pre-sampled (or zero-copy shared-memory attached)
-    :class:`~repro.adversary.kernel.SecurityTrialBlock` instead of drawing
-    one here — the parallel shared-block protocol slices one parent block
-    across worker chunks. The block must cover the grid (matching ``n``,
-    ``group_size``, ``overlapping``, ``trials``, and wide enough
-    ``k_max`` / ``l_max``).
     """
     variants = tuple(variants)
     if not variants:
@@ -561,36 +553,15 @@ def security_sweep_montecarlo(
     generator = ensure_rng(rng)
     model = _resolve_compromise_model(compromise_model, n)
 
-    if block is not None:
-        k_max = max(v.onion_routers for v in variants)
-        l_max = max(v.copies for v in variants)
-        if (
-            block.n != n
-            or block.group_size != group_size
-            or block.overlapping != overlapping
-            or block.trials != trials
-            or block.k_max < k_max
-            or block.l_max < l_max
-        ):
-            raise ValueError(
-                f"pre-sampled block (n={block.n}, g={block.group_size}, "
-                f"overlapping={block.overlapping}, trials={block.trials}, "
-                f"k_max={block.k_max}, l_max={block.l_max}) does not cover "
-                f"the sweep (n={n}, g={group_size}, "
-                f"overlapping={overlapping}, trials={trials}, "
-                f"k_max={k_max}, l_max={l_max})"
-            )
-
-    if block is None:
-        block = sample_security_block(
-            n,
-            group_size,
-            k_max=max(v.onion_routers for v in variants),
-            l_max=max(v.copies for v in variants),
-            trials=trials,
-            rng=generator,
-            overlapping=overlapping,
-        )
+    block = sample_security_block(
+        n,
+        group_size,
+        k_max=max(v.onion_routers for v in variants),
+        l_max=max(v.copies for v in variants),
+        trials=trials,
+        rng=generator,
+        overlapping=overlapping,
+    )
     if kernel is False:
         scored = [
             _scalar_variant_scores(block, model, variant) for variant in variants
@@ -616,7 +587,6 @@ def security_montecarlo(
     overlapping: bool = False,
     kernel: Optional[bool] = None,
     compromise_model: "str | CompromiseModel" = "uniform",
-    block: Optional[SecurityTrialBlock] = None,
     backend: Optional[str] = None,
 ) -> Tuple[float, float]:
     """Monte Carlo estimates of (traceable rate, path anonymity).
@@ -645,7 +615,6 @@ def security_montecarlo(
         overlapping=overlapping,
         kernel=kernel,
         compromise_model=compromise_model,
-        block=block,
         backend=backend,
     )
     return results[0], results[1]

@@ -1,16 +1,15 @@
-"""Zero-copy shared-memory transport for columnar blocks.
+"""Zero-copy shared-memory transport for columnar event blocks.
 
-The parallel layer ships immutable struct-of-arrays blocks —
-:class:`~repro.contacts.events.EventBlock` contact windows and
-:class:`~repro.adversary.kernel.SecurityTrialBlock` Monte Carlo samples —
-to worker processes. Serialising them (npz bytes through the task pickle)
-copies every column once per chunk; with 32 chunks over a million-event
-window that is thirty-two full copies of data that never changes.
+The parallel layer ships immutable
+:class:`~repro.contacts.events.EventBlock` contact windows to worker
+processes. Serialising them (npz bytes through the task pickle) copies
+every column once per chunk; with 32 chunks over a million-event window
+that is thirty-two full copies of data that never changes.
 
 :class:`SharedBlockArena` instead registers each block's numpy columns
 once in a :mod:`multiprocessing.shared_memory` segment and hands out a
-tiny :class:`BlockDescriptor` — ``(shm_name, kind, meta, columns)`` where
-each column is ``(name, dtype, shape, offset)``. Workers call
+tiny :class:`BlockDescriptor` — ``(shm_name, kind, columns, nbytes)``
+where each column is ``(name, dtype, shape, offset)``. Workers call
 :func:`attach_block` to map the segment and rebuild the block as
 read-only views over shared pages: no copy, no deserialisation, and the
 mapping is cached per segment name so a warm worker pays the ``mmap``
@@ -18,14 +17,16 @@ once per sweep rather than once per chunk.
 
 Lifecycle rules (see ARCHITECTURE.md "Memory & parallelism"):
 
-* the *owner* process (the one that called ``register``) is solely
-  responsible for ``unlink()`` — callers wrap sweeps in ``try/finally``
-  (``run_parallel_batch`` for ad-hoc arenas, ``WorkerPool.close()`` for
-  pool-owned ones), so segments disappear on normal completion and on
-  ``KeyboardInterrupt``;
-* workers attach with tracking disabled (or unregister from the
-  :mod:`multiprocessing.resource_tracker` on Pythons without
-  ``track=False``), so a SIGKILLed worker cannot trick the tracker into
+* every arena is owned by one
+  :class:`~repro.experiments.parallel.WorkerPool` — a caller's
+  persistent pool, or the private pool an ``int`` ``workers`` opens for
+  one call — and only ``WorkerPool.close()`` unlinks it, so segments
+  disappear on normal completion, chunk errors and ``KeyboardInterrupt``
+  alike;
+* workers attach without registering the segment with the
+  :mod:`multiprocessing.resource_tracker` (``track=False`` on 3.13+, a
+  suppressed registration before), so the owner's ``unlink()`` is the
+  only one the tracker sees and a SIGKILLed worker cannot trick it into
   unlinking a segment other workers still read;
 * ``unlink()`` is idempotent and a :func:`weakref.finalize` backstop
   releases segments if an arena is dropped without an explicit unlink.
@@ -80,62 +81,12 @@ class BlockDescriptor(NamedTuple):
 
     shm_name: str
     kind: str
-    meta: Tuple
     columns: Tuple[ColumnSpec, ...]
     nbytes: int
 
 
-# ---------------------------------------------------------------------------
-# Block kinds: how to take a block apart and put it back together.
-
-def _event_spec(block: EventBlock):
-    return (), (("times", block.times), ("a", block.a), ("b", block.b))
-
-
-def _build_event(arrays: Dict[str, np.ndarray], meta: Tuple) -> EventBlock:
-    return EventBlock(times=arrays["times"], a=arrays["a"], b=arrays["b"])
-
-
-def _security_spec(block):
-    meta = (int(block.n), int(block.group_size), bool(block.overlapping))
-    columns = (
-        ("sources", block.sources),
-        ("destinations", block.destinations),
-        ("copy_members", block.copy_members),
-        ("compromise_keys", block.compromise_keys),
-    )
-    return meta, columns
-
-
-def _build_security(arrays: Dict[str, np.ndarray], meta: Tuple):
-    from repro.adversary.kernel import SecurityTrialBlock
-
-    n, group_size, overlapping = meta
-    return SecurityTrialBlock(
-        n=n,
-        group_size=group_size,
-        sources=arrays["sources"],
-        destinations=arrays["destinations"],
-        copy_members=arrays["copy_members"],
-        compromise_keys=arrays["compromise_keys"],
-        overlapping=overlapping,
-    )
-
-
-_BUILDERS = {"event": _build_event, "security": _build_security}
-
-
-def _spec_for(block):
-    if isinstance(block, EventBlock):
-        return ("event",) + _event_spec(block)
-    from repro.adversary.kernel import SecurityTrialBlock
-
-    if isinstance(block, SecurityTrialBlock):
-        return ("security",) + _security_spec(block)
-    raise TypeError(
-        "shared arenas hold EventBlock or SecurityTrialBlock instances, "
-        f"not {type(block).__name__}"
-    )
+#: The one block kind an arena holds; attach rejects any other descriptor.
+_EVENT_KIND = "event"
 
 
 # ---------------------------------------------------------------------------
@@ -171,21 +122,27 @@ def _create_segment(size: int) -> shared_memory.SharedMemory:
 def _attach_segment(name: str) -> shared_memory.SharedMemory:
     """Map an existing segment without resource-tracker registration.
 
-    Python 3.13 grew ``track=False``; on older versions attaching
-    registers the segment with the worker's resource tracker, which would
-    unlink it when *this* process exits even though the owner still needs
-    it — so we unregister immediately after attaching.
+    Python 3.13 grew ``track=False``. Older versions register every
+    attach with the resource tracker, which would unlink the segment when
+    *this* process exits even though the owner still needs it. Undoing
+    that with ``unregister`` is not safe either: a pool forked after the
+    owner's tracker started shares that tracker, so the worker's
+    ``unregister`` drops the owner's entry and the owner's own ``unlink``
+    then fails inside the tracker with a ``KeyError``. So the
+    registration is suppressed for the attach instead. Swapping the
+    module attribute is safe because workers attach from a single thread
+    (in the owner, :func:`attach_block` returns the registered block).
     """
     try:
         return shared_memory.SharedMemory(name=name, track=False)
     except TypeError:
         pass
-    shm = shared_memory.SharedMemory(name=name)
+    register = resource_tracker.register
+    resource_tracker.register = lambda *args: None
     try:
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker internals vary
-        pass
-    return shm
+        return shared_memory.SharedMemory(name=name)
+    finally:
+        resource_tracker.register = register
 
 
 def _release_segments(segments: Dict[str, shared_memory.SharedMemory]) -> None:
@@ -208,10 +165,9 @@ def _release_segments(segments: Dict[str, shared_memory.SharedMemory]) -> None:
 class SharedBlockArena:
     """Owner-side registry of blocks exported through shared memory.
 
-    One arena per ownership scope: a :class:`WorkerPool` owns one for its
-    lifetime (unlinked in ``close()``, *kept* across ``terminate()`` pool
-    restarts so requeued chunks can reattach), and the ad-hoc
-    ``workers=int`` paths create one per call under ``try/finally``.
+    One arena per :class:`~repro.experiments.parallel.WorkerPool`, for
+    the pool's lifetime: unlinked in ``close()``, *kept* across
+    ``terminate()`` pool restarts so requeued chunks can reattach.
     ``register`` is idempotent per block object, so fused sweeps that
     ship the same window at every grid point allocate one segment total.
     """
@@ -232,9 +188,13 @@ class SharedBlockArena:
         cached = self._descriptors.get(key)
         if cached is not None:
             return cached
-        kind, meta, columns = _spec_for(block)
+        if not isinstance(block, EventBlock):
+            raise TypeError(
+                f"shared arenas hold EventBlock instances, not {type(block).__name__}"
+            )
         arrays = [
-            (name, np.ascontiguousarray(array)) for name, array in columns
+            (name, np.ascontiguousarray(array))
+            for name, array in (("times", block.times), ("a", block.a), ("b", block.b))
         ]
         specs: List[ColumnSpec] = []
         offset = 0
@@ -256,8 +216,7 @@ class SharedBlockArena:
             view[...] = array
         descriptor = BlockDescriptor(
             shm_name=shm.name,
-            kind=kind,
-            meta=meta,
+            kind=_EVENT_KIND,
             columns=tuple(specs),
             nbytes=offset,
         )
@@ -294,8 +253,7 @@ def attach_block(descriptor: BlockDescriptor):
     cached = _ATTACHED.get(descriptor.shm_name)
     if cached is not None:
         return cached[1]
-    builder = _BUILDERS.get(descriptor.kind)
-    if builder is None:
+    if descriptor.kind != _EVENT_KIND:
         raise ValueError(f"unknown shared-block kind {descriptor.kind!r}")
     shm = _attach_segment(descriptor.shm_name)
     arrays: Dict[str, np.ndarray] = {}
@@ -305,7 +263,7 @@ def attach_block(descriptor: BlockDescriptor):
         )
         view.flags.writeable = False
         arrays[name] = view
-    block = builder(arrays, descriptor.meta)
+    block = EventBlock(times=arrays["times"], a=arrays["a"], b=arrays["b"])
     _ATTACHED[descriptor.shm_name] = (shm, block)
     return block
 

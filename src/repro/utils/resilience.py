@@ -9,10 +9,11 @@ long sweep can hit is classified into one of five kinds:
 * ``WORKER_CRASH`` — a worker process died (SIGKILL, OOM, segfault); the
   pool broke and every in-flight chunk was requeued.
 * ``CHUNK_ERROR`` — a chunk raised an ordinary exception.
-* ``KERNEL_FALLBACK`` — a struct-of-arrays kernel (or the columnar
-  consumer) failed before mutating any session and the engine degraded to
-  the next rung of the consume ladder (kernel → columnar → iterator), with
-  byte-identical outcomes.
+* ``KERNEL_FALLBACK`` — a struct-of-arrays kernel failed and execution
+  degraded kernel → ``kernel=False``: inside the engine a kernel that had
+  not dispatched anything routes its group through the object loop, and
+  a failed parallel chunk re-runs from its seed with ``kernel=False`` —
+  byte-identical outcomes either way.
 * ``CHECKPOINT_CORRUPT`` — a checkpoint file failed JSON parsing or
   checksum validation and was quarantined; the affected work is recomputed.
 

@@ -29,7 +29,7 @@ from repro.adversary.kernel import (
 from repro.analysis.anonymity import path_anonymity_exact
 from repro.analysis.traceable import traceable_rate_empirical
 from repro.experiments import runners
-from repro.experiments.parallel import _run_montecarlo_chunk
+from repro.experiments.parallel import _run_chunk
 from repro.experiments.runners import (
     reference_node_weights,
     security_montecarlo,
@@ -308,18 +308,25 @@ class TestDegradationRung:
             raise RuntimeError("injected kernel failure")
 
         monkeypatch.setattr(SecurityBatchKernel, "score", broken_score)
-        payload = _run_montecarlo_chunk(
-            security_montecarlo, 150, np.random.SeedSequence(123), kwargs
+        payload = _run_chunk(
+            security_montecarlo,
+            "trials",
+            150,
+            np.random.SeedSequence(123),
+            None,
+            kwargs,
         )
         assert payload.result == expected
         assert payload.events, "the fallback must be recorded"
         assert "injected kernel failure" in payload.events[0]["detail"]
 
     def test_clean_chunk_records_no_events(self):
-        payload = _run_montecarlo_chunk(
+        payload = _run_chunk(
             security_montecarlo,
+            "trials",
             100,
             np.random.SeedSequence(5),
+            None,
             dict(n=50, group_size=3, onion_routers=3, copies=1,
                  compromise_rate=0.2),
         )

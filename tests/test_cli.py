@@ -1,23 +1,23 @@
 """Tests for the onion-dtn command-line interface."""
 
+import os
+
 import pytest
 
-from repro.cli import _clamp_workers, main
+from repro.cli import main
 
 
-class TestClampWorkers:
-    def test_within_budget_is_silent(self, capsys):
-        assert _clamp_workers(2, 8) == 2
-        assert _clamp_workers(8, 8) == 8
-        assert capsys.readouterr().err == ""
-
-    def test_oversubscription_clamps_with_one_warning(self, capsys):
-        assert _clamp_workers(8, 2) == 2
-        err = capsys.readouterr().err
-        assert err.count("warning:") == 1
-        assert "--workers 8" in err
-        assert "clamping to 2" in err
-        assert "seeds" in err  # the warning explains the reproduction impact
+class TestWorkersHostIndependence:
+    def test_figure_output_does_not_depend_on_cpu_count(self, capsys, monkeypatch):
+        # The requested --workers fixes the chunk layout; the host's CPU
+        # count may only change how many processes drain it.
+        argv = ["figure", "6", "--trials", "40", "--seed", "5", "--workers", "2"]
+        printed = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+            assert main(argv) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1]
 
 
 class TestList:

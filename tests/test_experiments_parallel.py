@@ -15,13 +15,18 @@ from repro.experiments.parallel import (
     default_chunk_count,
     parallel_map,
     run_parallel_batch,
+    run_parallel_fused_sweep,
     run_parallel_montecarlo,
     spawn_chunk_seeds,
 )
 from repro.experiments.runners import (
+    SweepVariant,
+    run_fused_graph_sweep,
     run_random_graph_batch,
     security_montecarlo,
 )
+from repro.experiments.shm import leaked_arena_segments
+from repro.utils.resilience import RetryPolicy
 
 
 class TestChunkSizes:
@@ -312,6 +317,64 @@ class TestSharedStreamParallel:
         with WorkerPool(4, max_processes=2) as pool:
             pooled = run(pool)
         assert pooled == run(4)
+
+    @pytest.mark.parametrize("entry", ["batch", "fused-sweep", "montecarlo"])
+    @pytest.mark.parametrize(
+        "shape", ["int", "pool", "supervised-pool", "one-process-pool"]
+    )
+    def test_every_pool_shape_merges_identically(self, graph, entry, shape):
+        # One chunk runner and one dispatcher serve every entry point, so
+        # a private pool, a shared pool, a supervised pool and an inline
+        # single-process pool must all merge the same chunks to the same
+        # bytes.
+        block = self._block(graph)
+
+        def run(workers):
+            rng = np.random.default_rng(17)
+            if entry == "batch":
+                return _shared_signature(
+                    run_parallel_batch(
+                        run_random_graph_batch, sessions=24, workers=workers,
+                        rng=rng, shared_events=block, graph=graph,
+                        group_size=4, onion_routers=2, copies=1, horizon=240.0,
+                    )
+                )
+            if entry == "fused-sweep":
+                variants = [
+                    SweepVariant("K=2", group_size=4, onion_routers=2),
+                    SweepVariant("K=3 L=2", group_size=4, onion_routers=3, copies=2),
+                ]
+                return [
+                    _shared_signature(batch)
+                    for batch in run_parallel_fused_sweep(
+                        run_fused_graph_sweep, variants=variants,
+                        sessions_per_variant=12, workers=workers, rng=rng,
+                        shared_events=block, graph=graph, horizon=240.0,
+                    )
+                ]
+            return run_parallel_montecarlo(
+                security_montecarlo, trials=40, workers=workers, rng=rng,
+                n=60, group_size=4, onion_routers=2, copies=1,
+                compromise_rate=0.2,
+            )
+
+        reference = run(4)
+        if shape == "int":
+            merged = run(4)
+        elif shape == "one-process-pool":
+            with WorkerPool(4, max_processes=1) as pool:
+                merged = run(pool)
+        else:
+            policy = (
+                RetryPolicy(max_retries=2, backoff=0.0, jitter=0.0)
+                if shape == "supervised-pool"
+                else None
+            )
+            with WorkerPool(4, max_processes=2, policy=policy) as pool:
+                merged = run(pool)
+            assert not pool.report  # nothing failed, nothing to record
+        assert merged == reference
+        assert leaked_arena_segments() == []
 
     def test_workers_1_uses_block_directly(self, graph):
         block = self._block(graph)

@@ -10,13 +10,15 @@ the supervised dispatcher (worker functions live at module level so the
 """
 
 import os
+import re
 import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.adversary.kernel import SecurityTrialBlock, sample_security_block
 from repro.contacts.events import (
     ColumnarEventSource,
     EventBlock,
@@ -24,15 +26,8 @@ from repro.contacts.events import (
 )
 from repro.contacts.random_graph import random_contact_graph
 from repro.experiments import shm
-from repro.experiments.parallel import (
-    WorkerPool,
-    run_parallel_batch,
-    run_parallel_montecarlo,
-)
-from repro.experiments.runners import (
-    run_random_graph_batch,
-    security_montecarlo,
-)
+from repro.experiments.parallel import WorkerPool, run_parallel_batch
+from repro.experiments.runners import run_random_graph_batch
 from repro.experiments.shm import (
     BlockDescriptor,
     SharedBlockArena,
@@ -88,33 +83,6 @@ class TestRoundTrip:
         finally:
             detach_attached()
             arena.unlink()
-
-    def test_security_block_round_trips_bitwise(self):
-        block = sample_security_block(
-            30, 4, k_max=3, l_max=2, trials=50,
-            rng=np.random.default_rng(11), overlapping=False,
-        )
-        arena = SharedBlockArena()
-        try:
-            rebuilt = _force_worker_attach(arena.register(block))
-            assert isinstance(rebuilt, SecurityTrialBlock)
-            assert (rebuilt.n, rebuilt.group_size, rebuilt.overlapping) == (
-                block.n, block.group_size, block.overlapping
-            )
-            np.testing.assert_array_equal(rebuilt.sources, block.sources)
-            np.testing.assert_array_equal(
-                rebuilt.destinations, block.destinations
-            )
-            np.testing.assert_array_equal(
-                rebuilt.copy_members, block.copy_members
-            )
-            np.testing.assert_array_equal(
-                rebuilt.compromise_keys, block.compromise_keys
-            )
-        finally:
-            detach_attached()
-            arena.unlink()
-        assert leaked_arena_segments() == []
 
     def test_owner_process_attach_returns_registered_object(self, event_block):
         arena = SharedBlockArena()
@@ -286,62 +254,47 @@ class TestCrashSafety:
         assert leaked_arena_segments() == []
 
 
-class TestSharedMontecarlo:
-    def test_shared_block_matches_per_chunk_draws(self):
-        block = sample_security_block(
-            40, 5, k_max=3, l_max=1, trials=64,
-            rng=np.random.default_rng(9), overlapping=False,
+# The pool forks lazily at its first submit, i.e. *after* the first
+# share_block has started the owner's resource tracker, so the workers
+# share that tracker. The second block is registered after the fork, so
+# the workers must really attach it (the first one they inherit).
+_FORK_AFTER_SHARE = """
+import numpy as np
+from repro.contacts.events import ExponentialContactProcess
+from repro.contacts.random_graph import random_contact_graph
+from repro.experiments.parallel import WorkerPool, run_parallel_batch
+from repro.experiments.runners import run_random_graph_batch
+
+graph = random_contact_graph(20, (4.0, 30.0), rng=np.random.default_rng(7))
+with WorkerPool(2, max_processes=2) as pool:
+    for seed in (3, 4):
+        block = ExponentialContactProcess(
+            graph, rng=np.random.default_rng(seed)
+        ).events_until_columnar(240.0)
+        run_parallel_batch(
+            run_random_graph_batch, sessions=8, workers=pool, rng=seed,
+            shared_events=block, graph=graph, group_size=4,
+            onion_routers=2, copies=1, horizon=240.0,
         )
-        shared = run_parallel_montecarlo(
-            security_montecarlo,
-            trials=64,
-            workers=2,
-            rng=np.random.default_rng(1),
-            shared_block=block,
-            n=40,
-            group_size=5,
-            onion_routers=3,
-            copies=1,
-            compromise_rate=0.2,
+"""
+
+
+class TestResourceTracker:
+    def test_pool_forked_after_share_leaves_tracker_clean(self):
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
         )
-        # The slice of the parent block a chunk scores equals the matching
-        # rows of scoring the whole block (trials are independent), so the
-        # trial-weighted merge must equal one full-block evaluation.
-        full = security_montecarlo(
-            40, 5, 3, 1, 0.2, trials=64,
-            rng=np.random.default_rng(99), block=block,
+        done = subprocess.run(
+            [sys.executable, "-c", _FORK_AFTER_SHARE],
+            capture_output=True, text=True, env=env, timeout=120,
         )
-        assert shared == pytest.approx(full, abs=1e-12)
+        assert done.returncode == 0, done.stderr
+        tracebacks = done.stderr.split("Traceback (most recent call last):")[1:]
+        tracker_errors = [
+            tb for tb in tracebacks
+            if "resource_tracker" in tb and re.search(r"^KeyError", tb, re.M)
+        ]
+        assert tracker_errors == [], done.stderr
         assert leaked_arena_segments() == []
-
-    def test_shared_block_validates_trials(self):
-        block = sample_security_block(
-            40, 5, k_max=2, l_max=1, trials=32,
-            rng=np.random.default_rng(9), overlapping=False,
-        )
-        with pytest.raises(ValueError):
-            run_parallel_montecarlo(
-                security_montecarlo,
-                trials=64,
-                workers=2,
-                rng=1,
-                shared_block=block,
-                n=40,
-                group_size=5,
-                onion_routers=2,
-                copies=1,
-                compromise_rate=0.2,
-            )
-
-    def test_slice_trials_views(self):
-        block = sample_security_block(
-            30, 4, k_max=2, l_max=2, trials=20,
-            rng=np.random.default_rng(4), overlapping=True,
-        )
-        part = block.slice_trials(5, 15)
-        assert part.trials == 10
-        assert part.n == block.n and part.overlapping is True
-        np.testing.assert_array_equal(part.sources, block.sources[5:15])
-        assert np.shares_memory(part.copy_members, block.copy_members)
-        with pytest.raises(ValueError):
-            block.slice_trials(10, 25)

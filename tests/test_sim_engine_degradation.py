@@ -24,7 +24,7 @@ from repro.core.single_copy import SingleCopySession
 from repro.experiments.parallel import (
     _ChunkPayload,
     _degradation_rungs,
-    _run_batch_chunk,
+    _run_chunk,
 )
 from repro.faults.recovery import FaultPlan, RecoveryPolicy
 from repro.sim.engine import SimulationEngine
@@ -200,8 +200,13 @@ class TestChunkLadder:
         return np.random.SeedSequence(42)
 
     def test_kernel_failure_degrades_to_next_rung_seed_exact(self):
-        payload = _run_batch_chunk(
-            _ladder_probe, 5, self.seed(), {"fail_on": ("kernel",), "kernel": True}
+        payload = _run_chunk(
+            _ladder_probe,
+            "sessions",
+            5,
+            self.seed(),
+            None,
+            {"fail_on": ("kernel",), "kernel": True},
         )
         assert isinstance(payload, _ChunkPayload)
         # The degraded rung re-ran from the chunk seed: same draw as a
@@ -216,15 +221,19 @@ class TestChunkLadder:
 
     def test_exhausted_ladder_raises_last_rung_error(self):
         with pytest.raises(RuntimeError, match="rung 'object'"):
-            _run_batch_chunk(
+            _run_chunk(
                 _ladder_probe,
+                "sessions",
                 5,
                 self.seed(),
+                None,
                 {"fail_on": ("kernel", "object"), "kernel": True},
             )
 
     def test_clean_chunk_records_no_events(self):
-        payload = _run_batch_chunk(_ladder_probe, 5, self.seed(), {"kernel": True})
+        payload = _run_chunk(
+            _ladder_probe, "sessions", 5, self.seed(), None, {"kernel": True}
+        )
         assert payload.events == []
         assert payload.result[0][0] == "kernel"
 
@@ -245,4 +254,4 @@ class TestChunkLadder:
         rungs = _degradation_rungs(_no_knobs_probe, {})
         assert [label for label, _ in rungs] == ["requested configuration"]
         with pytest.raises(RuntimeError, match="no rungs"):
-            _run_batch_chunk(_no_knobs_probe, 5, self.seed(), {})
+            _run_chunk(_no_knobs_probe, "sessions", 5, self.seed(), None, {})
