@@ -11,7 +11,7 @@ anycast property alone.
 import numpy as np
 
 from repro.contacts.random_graph import random_contact_graph
-from repro.experiments.runners import run_random_graph_batch
+from repro.experiments.runners import SweepVariant, run_fused_graph_sweep
 from repro.sim.metrics import summarize
 
 HORIZON = 1080.0
@@ -23,13 +23,11 @@ def _delivery(group_size: int, seed: int) -> float:
     rates = []
     for graph_seed in range(GRAPHS):
         graph = random_contact_graph(n=100, rng=seed + graph_seed)
-        batch = run_random_graph_batch(
+        [batch] = run_fused_graph_sweep(
             graph,
-            group_size=group_size,
-            onion_routers=3,
-            copies=1,
+            [SweepVariant(f"g={group_size}", group_size=group_size, onion_routers=3)],
             horizon=HORIZON,
-            sessions=SESSIONS,
+            sessions_per_variant=SESSIONS,
             rng=seed + graph_seed,
         )
         rates.append(np.mean([o.delivered for _, o in batch]))

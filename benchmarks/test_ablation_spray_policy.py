@@ -10,7 +10,7 @@ import numpy as np
 
 from repro.contacts.random_graph import random_contact_graph
 from repro.core.multi_copy import SprayPolicy
-from repro.experiments.runners import run_random_graph_batch
+from repro.experiments.runners import SweepVariant, run_fused_graph_sweep
 
 HORIZON = 1080.0
 SESSIONS = 40
@@ -22,15 +22,19 @@ def _run(policy: SprayPolicy, seed: int):
     delivered, cost, delays = [], [], []
     for graph_seed in range(GRAPHS):
         graph = random_contact_graph(n=100, rng=seed + graph_seed)
-        batch = run_random_graph_batch(
-            graph,
+        variant = SweepVariant(
+            policy.name,
             group_size=5,
             onion_routers=3,
             copies=COPIES,
-            horizon=HORIZON,
-            sessions=SESSIONS,
-            rng=seed + graph_seed,
             spray_policy=policy,
+        )
+        [batch] = run_fused_graph_sweep(
+            graph,
+            [variant],
+            horizon=HORIZON,
+            sessions_per_variant=SESSIONS,
+            rng=seed + graph_seed,
         )
         for _, outcome in batch:
             delivered.append(outcome.delivered)

@@ -18,14 +18,15 @@ import pytest
 
 from repro.contacts.random_graph import random_contact_graph
 from repro.experiments.config import DEFAULT_CONFIG
-from repro.experiments.parallel import run_parallel_batch
-from repro.experiments.runners import run_random_graph_batch
+from repro.experiments.parallel import run_parallel_fused_sweep
+from repro.experiments.runners import SweepVariant, run_fused_graph_sweep
 from scripts.bench_engine import count_events, outcome_signature
 from tests.oracles import BroadcastEngine, IteratorEngine, runners_using
 
 SESSIONS = 200
 HORIZON = 360.0
 SEED = 42
+VARIANTS = [SweepVariant("g=5 K=3", group_size=5, onion_routers=3)]
 
 
 @pytest.fixture(scope="module")
@@ -36,16 +37,14 @@ def workload_graph():
 
 
 def _batch(graph, **knobs):
-    return run_random_graph_batch(
+    return run_fused_graph_sweep(
         graph,
-        5,
-        3,
-        copies=1,
+        VARIANTS,
         horizon=HORIZON,
-        sessions=SESSIONS,
+        sessions_per_variant=SESSIONS,
         rng=np.random.default_rng(SEED),
         **knobs,
-    )
+    )[0]
 
 
 def _timed(benchmark, fn):
@@ -96,17 +95,15 @@ def test_perf_indexed_vs_broadcast(benchmark, workload_graph):
 
 def test_perf_parallel_batch(benchmark, workload_graph):
     pairs = benchmark.pedantic(
-        lambda: run_parallel_batch(
-            run_random_graph_batch,
-            sessions=SESSIONS,
+        lambda: run_parallel_fused_sweep(
+            run_fused_graph_sweep,
+            variants=VARIANTS,
+            sessions_per_variant=SESSIONS,
             workers=2,
             rng=np.random.default_rng(SEED),
             graph=workload_graph,
-            group_size=5,
-            onion_routers=3,
-            copies=1,
             horizon=HORIZON,
-        ),
+        )[0],
         rounds=1,
         iterations=1,
     )
@@ -129,17 +126,15 @@ def test_perf_parallel_batch(benchmark, workload_graph):
     tolerance = max(5, int(0.05 * SESSIONS))
     assert abs(delivered_parallel - delivered_serial) <= tolerance
 
-    four_workers = run_parallel_batch(
-        run_random_graph_batch,
-        sessions=SESSIONS,
+    four_workers = run_parallel_fused_sweep(
+        run_fused_graph_sweep,
+        variants=VARIANTS,
+        sessions_per_variant=SESSIONS,
         workers=4,
         rng=np.random.default_rng(SEED),
         graph=workload_graph,
-        group_size=5,
-        onion_routers=3,
-        copies=1,
         horizon=HORIZON,
-    )
+    )[0]
     assert outcome_signature(four_workers) == outcome_signature(pairs)
 
     benchmark.extra_info["workers"] = 2
@@ -198,18 +193,16 @@ def test_perf_shared_stream_parallel(benchmark, workload_graph):
     ).events_until_columnar(HORIZON)
     with WorkerPool(2) as pool:
         pairs = benchmark.pedantic(
-            lambda: run_parallel_batch(
-                run_random_graph_batch,
-                sessions=SESSIONS,
+            lambda: run_parallel_fused_sweep(
+                run_fused_graph_sweep,
+                variants=VARIANTS,
+                sessions_per_variant=SESSIONS,
                 workers=pool,
                 rng=np.random.default_rng(SEED),
                 shared_events=block,
                 graph=workload_graph,
-                group_size=5,
-                onion_routers=3,
-                copies=1,
                 horizon=HORIZON,
-            ),
+            )[0],
             rounds=2,
             iterations=1,
         )

@@ -7,7 +7,8 @@ traces (see DESIGN.md §3 for the substitution):
 1. generate (or load) a trace of ``(a, b, start, end)`` contact records,
 2. estimate pairwise contact rates ("the number of nodes and the contact
    frequency are computed from a given trace file"),
-3. replay the trace through the onion routing protocol,
+3. replay the trace through the onion routing protocol (one
+   configuration, i.e. a one-variant ``run_fused_trace_sweep`` grid),
 4. compare the measured delivery curve against the Eq. 6 model.
 
 To run on a real CRAWDAD file instead, replace the generator call with
@@ -22,9 +23,10 @@ import numpy as np
 
 from repro import cambridge_like_trace, infocom05_like_trace
 from repro.experiments.runners import (
+    SweepVariant,
     analysis_delivery_curve,
     estimate_active_span,
-    run_trace_batch,
+    run_fused_trace_sweep,
     simulated_delivery_curve,
     trace_contact_graph,
 )
@@ -42,13 +44,17 @@ def describe(name, trace):
 def evaluate(name, trace, group_size, onion_routers, copies, deadlines,
              overlapping, sessions=40, seed=SEED):
     describe(name, trace)
-    batch = run_trace_batch(
-        trace,
+    variant = SweepVariant(
+        label=name,
         group_size=group_size,
         onion_routers=onion_routers,
         copies=copies,
+    )
+    [batch] = run_fused_trace_sweep(
+        trace,
+        [variant],
         deadline=max(deadlines),
-        sessions=sessions,
+        sessions_per_variant=sessions,
         rng=seed,
         overlapping=overlapping,
     )

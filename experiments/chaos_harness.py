@@ -55,9 +55,9 @@ import numpy as np
 
 from repro.contacts.events import ExponentialContactProcess
 from repro.contacts.random_graph import random_contact_graph
-from repro.experiments.parallel import WorkerPool, run_parallel_batch
+from repro.experiments.parallel import WorkerPool, run_parallel_fused_sweep
 from repro.experiments.persistence import run_checkpointed
-from repro.experiments.runners import run_random_graph_batch
+from repro.experiments.runners import SweepVariant, run_fused_graph_sweep
 from repro.experiments.shm import leaked_arena_segments
 from repro.utils.resilience import (
     CHECKPOINT_CORRUPT,
@@ -128,18 +128,16 @@ def _trip_one_fuse(fuse_dir: str, parent_pid: int, kernel) -> None:
 
 def chaotic_batch(
     graph,
-    group_size,
-    onion_routers,
-    copies,
+    variants,
     horizon,
-    sessions,
+    sessions_per_variant,
     rng,
     fuse_dir: str = "",
     parent_pid: int = 0,
     kernel=None,
     events=None,
 ):
-    """`run_random_graph_batch` with a pre-flight chaos fuse check.
+    """`run_fused_graph_sweep` with a pre-flight chaos fuse check.
 
     The explicit ``kernel`` parameter opts this wrapper into the chunk
     degradation ladder (a failed execution is retried with
@@ -149,17 +147,20 @@ def chaotic_batch(
     """
     _trip_one_fuse(fuse_dir, parent_pid, kernel)
     extra = {} if kernel is None else {"kernel": kernel}
-    return run_random_graph_batch(
-        graph=graph,
-        group_size=group_size,
-        onion_routers=onion_routers,
-        copies=copies,
+    return run_fused_graph_sweep(
+        graph,
+        variants,
         horizon=horizon,
-        sessions=sessions,
+        sessions_per_variant=sessions_per_variant,
         rng=rng,
         events=events,
         **extra,
     )
+
+
+def one_variant(group_size):
+    """The single (g, K=2, L=1) configuration every chaos run sweeps."""
+    return [SweepVariant(f"g={group_size}", group_size=group_size, onion_routers=2)]
 
 
 def _digest(outcomes) -> str:
@@ -178,20 +179,18 @@ def make_compute(graph, sessions, workers, chunks, seed, fuse_dir, parent_pid):
 
     def compute(key: str):
         g = int(key.split("=", 1)[1])
-        outcomes = run_parallel_batch(
+        outcomes = run_parallel_fused_sweep(
             chaotic_batch,
-            sessions=sessions,
+            variants=one_variant(g),
+            sessions_per_variant=sessions,
             workers=workers,
             rng=np.random.default_rng(seed + g),
             chunks=chunks,
             graph=graph,
-            group_size=g,
-            onion_routers=2,
-            copies=1,
             horizon=720.0,
             fuse_dir=fuse_dir,
             parent_pid=parent_pid,
-        )
+        )[0]
         delivered = sum(1 for _, outcome in outcomes if outcome.delivered)
         return {"digest": _digest(outcomes), "delivered": delivered}
 
@@ -282,21 +281,19 @@ def main(argv=None) -> int:
             ).events_until_columnar(720.0)
 
             def shared_run(workers, fuses):
-                return run_parallel_batch(
+                return run_parallel_fused_sweep(
                     chaotic_batch,
-                    sessions=args.sessions,
+                    variants=one_variant(4),
+                    sessions_per_variant=args.sessions,
                     workers=workers,
                     rng=np.random.default_rng(args.seed),
                     chunks=args.chunks,
                     shared_events=shared_block,
                     graph=graph,
-                    group_size=4,
-                    onion_routers=2,
-                    copies=1,
                     horizon=720.0,
                     fuse_dir=fuses,
                     parent_pid=parent_pid,
-                )
+                )[0]
 
             shared_clean = shared_run(args.workers, "")
             arm_fuses(fuse_dir, ("kill-2",))

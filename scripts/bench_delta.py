@@ -136,6 +136,9 @@ METRICS = (
     ("security-backend-numpy grid scores/s",
      ("results", "security-backend-numpy", "grid_scores_per_second"),
      "", True, False),
+    # Report-only code size, so shrinkage shows up next to the timings.
+    ("src lines (*.py)", ("loc", "src"), "", False, False),
+    ("tests lines (*.py)", ("loc", "tests"), "", False, False),
 )
 
 

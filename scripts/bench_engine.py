@@ -20,8 +20,8 @@ horizon. The script measures two layers of the pipeline:
   - ``kernel``    — the engine's default path: the struct-of-arrays
     :class:`BatchKernel` sweep advances eligible fault-free single-copy
     sessions by array operations, dispatching only state-changing events,
-  - ``parallel``  — the columnar engine under ``run_parallel_batch`` with
-    a *shared* event stream: the window is generated once, serialised,
+  - ``parallel``  — the batch as a one-variant fused sweep split across a
+    :class:`WorkerPool` with a *shared* event stream: the window is generated once, serialised,
     and replayed by every worker chunk instead of re-sampled per chunk.
 
 Two further workloads exercise the rest of the kernel family:
@@ -64,6 +64,10 @@ Two further workloads exercise the rest of the kernel family:
   and the security family alike — so first-call library loading can
   never pollute a timed arm of any mode; outcome digests must match
   across arms.
+
+Every report also records ``loc``: the ``*.py`` line counts of ``src/``
+and ``tests/`` (as ``wc -l`` counts them), so code shrinkage is tracked
+next to the timings.
 
 Engine rows are split into ``generation_seconds`` (producing the event
 stream) and ``dispatch_seconds`` (everything else: sessions, dispatch,
@@ -127,10 +131,11 @@ from repro.contacts.random_graph import random_contact_graph
 from repro.contacts.synthetic import infocom05_like_trace
 from repro.core.onion_groups import OnionGroupDirectory
 from repro.experiments.config import DEFAULT_CONFIG
-from repro.experiments.parallel import WorkerPool, run_parallel_batch
+from repro.experiments.parallel import WorkerPool
 from repro.experiments.runners import (
-    run_random_graph_batch,
-    run_trace_batch,
+    SweepVariant,
+    run_fused_graph_sweep,
+    run_fused_trace_sweep,
     sample_endpoints,
     security_montecarlo,
     security_sweep_montecarlo,
@@ -181,10 +186,33 @@ STREAM_WORKLOADS = {
 }
 
 
+def line_counts():
+    """``*.py`` line counts of ``src/`` and ``tests/`` (``wc -l`` style)."""
+    return {
+        part: sum(
+            path.read_bytes().count(b"\n")
+            for path in sorted((ROOT / part).rglob("*.py"))
+        )
+        for part in ("src", "tests")
+    }
+
+
+def grid(group_size, onion_routers, copies=1):
+    """The one-variant grid every engine batch here runs as a fused sweep."""
+    return [
+        SweepVariant(
+            label="batch",
+            group_size=group_size,
+            onion_routers=onion_routers,
+            copies=copies,
+        )
+    ]
+
+
 def count_events(graph, group_size, onion_routers, sessions, horizon, seed):
     """Events the engine dispatches for the batch's seeded stream.
 
-    Replays the exact RNG consumption order of ``run_random_graph_batch``
+    Replays the exact RNG consumption order of ``run_fused_graph_sweep``
     (directory, process block pre-draws, per-session endpoint/route draws)
     so the counted stream is the one the timed runs actually see.
     """
@@ -295,16 +323,14 @@ def multicopy_benchmark(
     ):
 
         def batch(kernel=kernel):
-            return run_random_graph_batch(
+            return run_fused_graph_sweep(
                 graph,
-                group_size,
-                onion_routers,
-                copies=copies,
+                grid(group_size, onion_routers, copies),
                 horizon=horizon,
-                sessions=sessions,
+                sessions_per_variant=sessions,
                 rng=np.random.default_rng(seed),
                 kernel=kernel,
-            )
+            )[0]
 
         wall, pairs = _best_wall(batch, repeat)
         generation = _generation_seconds(
@@ -355,16 +381,14 @@ def trace_benchmark(group_size, onion_routers, deadline, sessions, seed, repeat)
     ):
 
         def batch(kernel=kernel):
-            return run_trace_batch(
+            return run_fused_trace_sweep(
                 trace,
-                group_size,
-                onion_routers,
-                copies=1,
+                grid(group_size, onion_routers),
                 deadline=deadline,
-                sessions=sessions,
+                sessions_per_variant=sessions,
                 rng=np.random.default_rng(seed),
                 kernel=kernel,
-            )
+            )[0]
 
         wall, pairs = _best_wall(batch, repeat)
         signatures[name] = outcome_signature(pairs)
@@ -651,7 +675,7 @@ def backend_benchmark(
 ):
     """Numpy vs compiled kernel backend on the single-copy reference sweep.
 
-    The workload replays the exact RNG order of ``run_random_graph_batch``
+    The workload replays the exact RNG order of ``run_fused_graph_sweep``
     (directory, process pre-draws, per-session endpoint/route draws), then
     pre-produces the columnar window once — so both arms time *only* the
     :class:`~repro.sim.kernel.BatchKernel` sweep over identical inputs.
@@ -826,16 +850,16 @@ def parallel_benchmark(
         graph, group_size, onion_routers, sessions, horizon, seed
     )
 
+    variants = grid(group_size, onion_routers, copies)
+
     def serial():
-        return run_random_graph_batch(
+        return run_fused_graph_sweep(
             graph,
-            group_size,
-            onion_routers,
-            copies=copies,
+            variants,
             horizon=horizon,
-            sessions=sessions,
+            sessions_per_variant=sessions,
             rng=np.random.default_rng(seed),
-        )
+        )[0]
 
     serial_wall, serial_pairs = _best_wall(serial, repeat)
 
@@ -844,18 +868,15 @@ def parallel_benchmark(
     ).events_until_columnar(horizon)
 
     def chunked(workers_arg):
-        return run_parallel_batch(
-            run_random_graph_batch,
-            sessions=sessions,
-            workers=workers_arg,
-            rng=np.random.default_rng(seed),
-            shared_events=block,
-            graph=graph,
-            group_size=group_size,
-            onion_routers=onion_routers,
-            copies=copies,
+        return run_fused_graph_sweep(
+            graph,
+            variants,
             horizon=horizon,
-        )
+            sessions_per_variant=sessions,
+            rng=np.random.default_rng(seed),
+            events=block,
+            workers=workers_arg,
+        )[0]
 
     with WorkerPool(workers) as pool:
         pool.warm()
@@ -910,17 +931,15 @@ def stream_benchmark(graph, group_size, onion_routers, seed, quick):
     def arm(**knobs):
         def run():
             start = time.perf_counter()
-            pairs = run_random_graph_batch(
+            pairs = run_fused_graph_sweep(
                 graph,
-                group_size,
-                onion_routers,
-                copies=1,
+                grid(group_size, onion_routers),
                 horizon=horizon,
-                sessions=sessions,
+                sessions_per_variant=sessions,
                 rng=np.random.default_rng(seed),
                 deadline=deadline,
                 **knobs,
-            )
+            )[0]
             wall = time.perf_counter() - start
             return {
                 "wall": wall,
@@ -1050,16 +1069,14 @@ def run_benchmark(
 
             def batch(engine_cls=engine_cls, kernel=kernel):
                 with runners_using(engine_cls):
-                    return run_random_graph_batch(
+                    return run_fused_graph_sweep(
                         graph,
-                        group_size,
-                        onion_routers,
-                        copies=copies,
+                        grid(group_size, onion_routers, copies),
                         horizon=horizon,
-                        sessions=sessions,
+                        sessions_per_variant=sessions,
                         rng=np.random.default_rng(seed),
                         kernel=kernel,
-                    )
+                    )[0]
 
             wall, pairs = _best_wall(batch, repeat)
             generation = _generation_seconds(
@@ -1142,13 +1159,11 @@ def run_benchmark(
     if profile_path is not None and mode != "backend":
         profiler = cProfile.Profile()
         profiler.enable()
-        run_random_graph_batch(
+        run_fused_graph_sweep(
             graph,
-            group_size,
-            onion_routers,
-            copies=copies,
+            grid(group_size, onion_routers, copies),
             horizon=horizon,
-            sessions=sessions,
+            sessions_per_variant=sessions,
             rng=np.random.default_rng(seed),
             kernel=False,
         )
@@ -1175,18 +1190,15 @@ def run_benchmark(
                 block = shared_block()
                 return (
                     block,
-                    run_parallel_batch(
-                        run_random_graph_batch,
-                        sessions=sessions,
-                        workers=pool,
-                        rng=np.random.default_rng(seed),
-                        shared_events=block,
-                        graph=graph,
-                        group_size=group_size,
-                        onion_routers=onion_routers,
-                        copies=copies,
+                    run_fused_graph_sweep(
+                        graph,
+                        grid(group_size, onion_routers, copies),
                         horizon=horizon,
-                    ),
+                        sessions_per_variant=sessions,
+                        rng=np.random.default_rng(seed),
+                        events=block,
+                        workers=pool,
+                    )[0],
                 )
 
             wall, (block, parallel_pairs) = _best_wall(parallel_batch, repeat)
@@ -1259,6 +1271,7 @@ def run_benchmark(
             "workers_requested": workers,
             "workers_effective": min(workers, os.cpu_count() or 1),
         },
+        "loc": line_counts(),
         "results": results,
         "identical_outcomes": all(identity_checks.values()),
         "identity_checks": identity_checks,

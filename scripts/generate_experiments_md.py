@@ -237,8 +237,9 @@ Reading `BENCH_engine.json`:
   time the fused 39-point `(c, K)` grid on one common-random-numbers
   block (`speedup_security_sweep_kernel_vs_scalar`); see
   ARCHITECTURE.md "Security kernel".
-* `results.parallel` — the same batch under `run_parallel_batch` with a
-  warm `WorkerPool` and a *shared* pre-generated event stream
+* `results.parallel` — the same batch as a one-variant
+  `run_fused_graph_sweep` split across a warm `WorkerPool` with a
+  *shared* pre-generated event stream
   (`shared_events=`): the window is built once, serialised
   (`stream_bytes`), and replayed by every chunk. `workers_requested`
   fixes chunk layout and seeds; `workers_effective` is the actual pool
@@ -301,13 +302,12 @@ Reading `BENCH_engine.json`:
   invariants, including under faults and mixed kernel-ineligible
   batches).
 
-The batch runners expose the kernels as one switch — `kernel: bool =
-True` on `run_random_graph_batch` / `run_faulty_graph_batch` /
-`run_trace_batch` and the fused sweep runners (the engine's
-`kernels=`), passed through unchanged with the other keywords by
-`run_parallel_batch` / `run_parallel_montecarlo` /
-`run_parallel_fused_sweep`; its `False` value is the chunk ladder's only
-degradation rung. The
+The delivery runners expose the kernels as one switch — `kernel: bool =
+True` on the two fused sweep runners, `run_fused_graph_sweep` and
+`run_fused_trace_sweep` (the engine's `kernels=`; a single
+configuration is a one-variant grid), passed through unchanged with the
+other keywords by `run_parallel_fused_sweep` / `run_parallel_montecarlo`;
+its `False` value is the chunk ladder's only degradation rung. The
 figure runners always use the kernels, falling back per session
 wherever faults, recovery, or keyrings make a session ineligible. Grid
 figures (4, 5, 10, 11, 14, 17) run *fused*: every grid point's sessions

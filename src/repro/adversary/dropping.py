@@ -33,7 +33,9 @@ class DroppingRelays:
         Per-received-copy drop probability ``p``; ``1.0`` makes every
         member a blackhole.
     rng:
-        Source for the per-receive Bernoulli draws.
+        Source for the per-receive Bernoulli draws. A graph sweep
+        (:func:`~repro.experiments.runners.run_fused_graph_sweep`) uses
+        only the set and ``p`` and draws from a stream of its own.
     """
 
     def __init__(

@@ -25,7 +25,6 @@ from repro.experiments.parallel import (
     WorkerPool,
     chunk_sizes,
     parallel_map,
-    run_parallel_batch,
     run_parallel_montecarlo,
     spawn_chunk_seeds,
     worker_count,
@@ -79,7 +78,6 @@ __all__ = [
     "density_sensitivity",
     "chunk_sizes",
     "parallel_map",
-    "run_parallel_batch",
     "run_parallel_montecarlo",
     "spawn_chunk_seeds",
     "WorkerPool",

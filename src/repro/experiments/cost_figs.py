@@ -7,16 +7,10 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.analysis.cost import multi_copy_cost_bound, non_anonymous_cost
-from repro.contacts.events import ExponentialContactProcess
 from repro.contacts.random_graph import random_contact_graph
 from repro.experiments.config import DEFAULT_CONFIG, PaperConfig
 from repro.experiments.result import FigureResult, Series
-from repro.experiments.parallel import (
-    workers_metadata,
-    Workers,
-    run_parallel_fused_sweep,
-    worker_count,
-)
+from repro.experiments.parallel import Workers, workers_metadata
 from repro.experiments.runners import SweepVariant, run_fused_graph_sweep
 from repro.utils.rng import RandomSource, ensure_rng, spawn_rng
 
@@ -49,29 +43,17 @@ def measured_transmissions_sweep(
         for copies in copy_counts
     ]
     counts: List[List[int]] = [[] for _ in variants]
-    parallel = worker_count(workers) > 1
     for graph_rng in spawn_rng(generator, graphs):
         graph = random_contact_graph(
             config.n, config.mean_intercontact_range, rng=graph_rng
         )
-        # Parallel chunks replay one shared columnar stream per graph; the
-        # serial (workers=1) path keeps the historical per-batch sampling.
-        shared = (
-            ExponentialContactProcess(graph, rng=graph_rng).events_until_columnar(
-                config.max_deadline
-            )
-            if parallel
-            else None
-        )
-        sweep = run_parallel_fused_sweep(
-            run_fused_graph_sweep,
-            variants=variants,
-            sessions_per_variant=sessions_per_graph,
-            workers=workers,
-            rng=graph_rng,
-            shared_events=shared,
-            graph=graph,
+        sweep = run_fused_graph_sweep(
+            graph,
+            variants,
             horizon=config.max_deadline,
+            sessions_per_variant=sessions_per_graph,
+            rng=graph_rng,
+            workers=workers,
         )
         for slot, batch in enumerate(sweep):
             counts[slot].extend(outcome.transmissions for _, outcome in batch)

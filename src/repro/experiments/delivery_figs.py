@@ -6,16 +6,10 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.contacts.events import ExponentialContactProcess
 from repro.contacts.random_graph import random_contact_graph
 from repro.experiments.config import DEFAULT_CONFIG, PaperConfig
 from repro.experiments.result import FigureResult, Series
-from repro.experiments.parallel import (
-    workers_metadata,
-    Workers,
-    run_parallel_fused_sweep,
-    worker_count,
-)
+from repro.experiments.parallel import Workers, workers_metadata
 from repro.experiments.runners import (
     SweepVariant,
     analysis_delivery_curve,
@@ -41,10 +35,9 @@ def delivery_sweep_series(
     entire grid per graph, and between-point comparisons see common random
     numbers. ``workers`` is a count or a persistent
     :class:`~repro.experiments.parallel.WorkerPool`; more than one worker
-    splits each graph's per-variant session batches across the pool and
-    shares a single pre-generated columnar event stream between the chunks
-    (deterministic for a fixed seed); one worker keeps the seed-exact
-    serial behaviour.
+    splits each graph's per-variant session batches across the pool (see
+    :func:`~repro.experiments.runners.run_fused_graph_sweep`);
+    one worker keeps the seed-exact serial behaviour.
 
     Eligible fault-free single-copy *and* multi-copy batches run through
     the struct-of-arrays kernels. ``backend`` names the kernel compute
@@ -56,32 +49,18 @@ def delivery_sweep_series(
     deadlines = config.deadlines
     analysis_totals = [np.zeros(len(deadlines)) for _ in variants]
     outcomes_per_variant: List[list] = [[] for _ in variants]
-    parallel = worker_count(workers) > 1
     for graph_rng in spawn_rng(generator, graphs):
         graph = random_contact_graph(
             config.n, config.mean_intercontact_range, rng=graph_rng
         )
-        # Shared-stream protocol: generate this graph's contact stream once
-        # and ship it to every chunk instead of re-sampling per chunk. The
-        # block draw advances graph_rng, so parallel results are a different
-        # (equally valid) sample than serial — workers=1 stays untouched.
-        shared = (
-            ExponentialContactProcess(graph, rng=graph_rng).events_until_columnar(
-                config.max_deadline
-            )
-            if parallel
-            else None
-        )
-        sweep = run_parallel_fused_sweep(
-            run_fused_graph_sweep,
-            variants=variants,
-            sessions_per_variant=sessions_per_graph,
-            workers=workers,
-            rng=graph_rng,
-            shared_events=shared,
-            backend=backend,
-            graph=graph,
+        sweep = run_fused_graph_sweep(
+            graph,
+            variants,
             horizon=config.max_deadline,
+            sessions_per_variant=sessions_per_graph,
+            rng=graph_rng,
+            backend=backend,
+            workers=workers,
         )
         for slot, (variant, batch) in enumerate(zip(variants, sweep)):
             routes = [route for route, _ in batch]

@@ -1,10 +1,10 @@
 """Parallel Monte Carlo batch execution.
 
-The figure batches (`run_random_graph_batch`, `run_faulty_graph_batch`,
-`run_trace_batch`, the fused sweeps, `security_montecarlo`) are
-embarrassingly parallel across sessions/trials, and the paper's
-methodology runs thousands of them per data point. Every
-``run_parallel_*`` entry point goes through one path:
+The figure runners (the fused delivery sweeps `run_fused_graph_sweep` and
+`run_fused_trace_sweep`, and the security Monte Carlo) are embarrassingly
+parallel across sessions/trials, and the paper's methodology runs
+thousands of them per data point. Both ``run_parallel_*`` entry points go
+through one path:
 
 1. a *planner* splits the batch into chunks and spawns one independent
    child of the master :class:`numpy.random.SeedSequence` per chunk
@@ -15,8 +15,8 @@ methodology runs thousands of them per data point. Every
 3. one *dispatcher* (:func:`parallel_map`) drives the chunks through a
    submit/wait loop on a :class:`WorkerPool` and returns them in
    submission order;
-4. the entry point's *merge* step combines the chunk results (list
-   concatenation, per-variant concatenation, or a trial-weighted mean).
+4. the entry point's *merge* step combines the chunk results
+   (per-variant concatenation or a trial-weighted mean).
 
 Seeding: the default chunk layout is a pure function of the workload
 size (:func:`default_chunk_count`), *not* of the worker count, so for a
@@ -26,7 +26,7 @@ streams never collide, and a machine upgrade cannot silently change a
 figure. ``workers=1`` bypasses chunking entirely — it calls the serial
 runner with the caller's generator and returns its result untouched,
 keeping historical seed-exact behaviour (and is therefore the one
-layout that differs: see ``run_parallel_batch``).
+layout that differs: see ``run_parallel_fused_sweep``).
 
 Ownership: every run executes on a :class:`WorkerPool`. A pool passed as
 ``workers`` is reused and left running — one warm pool serves a whole
@@ -165,8 +165,8 @@ class WorkerPool:
     sweep::
 
         with WorkerPool(4) as pool:
-            first = run_parallel_batch(fn, sessions=1000, workers=pool, ...)
-            second = run_parallel_batch(fn, sessions=1000, workers=pool, ...)
+            first = run_parallel_fused_sweep(fn, variants, 500, workers=pool, ...)
+            second = run_parallel_fused_sweep(fn, variants, 500, workers=pool, ...)
 
     Passing an ``int`` as ``workers`` does the same with a private pool
     that lives for one call.
@@ -772,75 +772,6 @@ def _run_chunked(
     return merge(sizes, results)
 
 
-def run_parallel_batch(
-    batch_fn: Callable[..., list],
-    sessions: int,
-    workers: Workers,
-    rng: RandomSource = None,
-    chunks: int | None = None,
-    shared_events: EventBlock | None = None,
-    policy: RetryPolicy | None = None,
-    report: ExecutionReport | None = None,
-    **kwargs: Any,
-) -> list:
-    """Run a session batch split across ``workers`` processes.
-
-    Parameters
-    ----------
-    batch_fn:
-        A serial batch runner taking ``sessions=`` and ``rng=`` keywords —
-        :func:`~repro.experiments.runners.run_random_graph_batch`,
-        :func:`~repro.experiments.runners.run_faulty_graph_batch`, or
-        :func:`~repro.experiments.runners.run_trace_batch`.
-    sessions:
-        Total sessions across all chunks.
-    workers:
-        Requested parallelism: an ``int`` (a private pool for this call)
-        or a persistent :class:`WorkerPool`. ``1`` calls ``batch_fn``
-        directly with ``rng`` (seed-exact with the serial path — which is
-        why ``workers=1`` is the one configuration whose outcomes differ
-        from the chunked runs: the serial path consumes the caller's
-        generator itself, while chunks draw from ``SeedSequence.spawn``
-        children; both are equally valid samples of the same
-        distribution).
-    rng:
-        Master seed source; chunk streams are spawned from it.
-    chunks:
-        Number of chunks. Defaults to :func:`default_chunk_count`, a pure
-        function of ``sessions`` — so the merged outcome is byte-identical
-        for every ``workers ≥ 2``; more chunks smooth load imbalance at
-        the cost of more per-chunk setup.
-    shared_events:
-        Optional pre-generated :class:`EventBlock` shipped to every chunk
-        (``batch_fn`` must accept an ``events=`` keyword) through the
-        pool's shared-memory arena — chunks reattach it zero-copy.
-        Without it each chunk regenerates its own event stream from the
-        chunk seed.
-    policy / report:
-        Optional :class:`~repro.utils.resilience.RetryPolicy` and
-        :class:`~repro.utils.resilience.ExecutionReport` for supervised
-        dispatch; defaults are adopted from ``workers`` when it is a
-        supervised :class:`WorkerPool`. Chunk-level degradation events
-        (kernel → object loop) recorded inside workers are merged
-        into the report.
-    **kwargs:
-        Forwarded to every ``batch_fn`` call — the workload, and knobs
-        such as ``kernel=`` or ``backend=`` (backends travel by *name*,
-        so each worker resolves its own instance).
-
-    Results are concatenated in chunk order, so the merged list is
-    deterministic for a fixed master seed and — because the default chunk
-    layout depends only on ``sessions`` — identical for every requested
-    worker count ≥ 2, regardless of the effective pool size or completion
-    order.
-    """
-    return _run_chunked(
-        batch_fn, "sessions", sessions, workers, rng, chunks, shared_events,
-        policy, report, kwargs,
-        merge=lambda _sizes, parts: [item for part in parts for item in part],
-    )
-
-
 def run_parallel_fused_sweep(
     sweep_fn: Callable[..., list],
     variants: Sequence[Any],
@@ -855,20 +786,56 @@ def run_parallel_fused_sweep(
 ) -> list:
     """Run a fused parameter-grid sweep split across ``workers`` processes.
 
-    ``sweep_fn`` is a fused sweep runner taking ``variants=``,
-    ``sessions_per_variant=``, and ``rng=`` keywords and returning one
-    outcome list per variant —
-    :func:`~repro.experiments.runners.run_fused_graph_sweep` or
-    :func:`~repro.experiments.runners.run_fused_trace_sweep`. Each chunk
-    runs its share of the per-variant sessions for *every* variant (so the
-    shared-window fusion happens inside every chunk), and the per-variant
-    lists are concatenated across chunks in chunk order — deterministic
-    for a fixed master seed and identical for every requested worker
-    count ≥ 2 (the chunk layout is a pure function of
-    ``sessions_per_variant``), following the
-    :func:`run_parallel_batch` conventions for ``rng``, ``chunks``,
-    ``shared_events`` (graph sweeps only — trace sweeps replay the trace
-    themselves), ``policy``/``report``, and ``**kwargs``.
+    Parameters
+    ----------
+    sweep_fn:
+        A fused sweep runner taking ``variants=``, ``sessions_per_variant=``
+        and ``rng=`` keywords and returning one outcome list per variant —
+        :func:`~repro.experiments.runners.run_fused_graph_sweep` or
+        :func:`~repro.experiments.runners.run_fused_trace_sweep`. Each chunk
+        runs its share of the per-variant sessions for *every* variant, so
+        the shared-window fusion happens inside every chunk.
+    sessions_per_variant:
+        Sessions per variant across all chunks.
+    workers:
+        Requested parallelism: an ``int`` (a private pool for this call)
+        or a persistent :class:`WorkerPool`. ``1`` calls ``sweep_fn``
+        directly with ``rng`` (seed-exact with the serial path — which is
+        why ``workers=1`` is the one configuration whose outcomes differ
+        from the chunked runs: the serial path consumes the caller's
+        generator itself, while chunks draw from ``SeedSequence.spawn``
+        children; both are equally valid samples of the same
+        distribution).
+    rng:
+        Master seed source; chunk streams are spawned from it.
+    chunks:
+        Number of chunks. Defaults to :func:`default_chunk_count`, a pure
+        function of ``sessions_per_variant`` — so the merged outcome is
+        byte-identical for every ``workers ≥ 2``; more chunks smooth load
+        imbalance at the cost of more per-chunk setup.
+    shared_events:
+        Optional pre-generated :class:`EventBlock` shipped to every chunk
+        as ``events=`` through the pool's shared-memory arena — chunks
+        reattach it zero-copy. Graph sweeps only (trace sweeps replay the
+        trace themselves); without it each chunk samples its own stream
+        from the chunk seed.
+    policy / report:
+        Optional :class:`~repro.utils.resilience.RetryPolicy` and
+        :class:`~repro.utils.resilience.ExecutionReport` for supervised
+        dispatch; defaults are adopted from ``workers`` when it is a
+        supervised :class:`WorkerPool`. Chunk-level degradation events
+        (kernel → object loop) recorded inside workers are merged
+        into the report.
+    **kwargs:
+        Forwarded to every ``sweep_fn`` call — the workload, and knobs
+        such as ``kernel=`` or ``backend=`` (backends travel by *name*,
+        so each worker resolves its own instance).
+
+    The per-variant lists are concatenated in chunk order, so the merged
+    result is deterministic for a fixed master seed and — because the
+    default chunk layout depends only on ``sessions_per_variant`` —
+    identical for every requested worker count ≥ 2, regardless of the
+    effective pool size or completion order.
     """
     variants = list(variants)
 
@@ -910,7 +877,7 @@ def run_parallel_montecarlo(
     for any chunking. Malformed chunk results (empty, or width-mismatched)
     raise :class:`ValueError` instead of crashing the merge. ``rng``,
     ``chunks``, ``policy``/``report`` and ``**kwargs`` follow the
-    :func:`run_parallel_batch` conventions.
+    :func:`run_parallel_fused_sweep` conventions.
     """
 
     def merge(sizes: List[int], results: List[Tuple[float, ...]]) -> Tuple[float, ...]:

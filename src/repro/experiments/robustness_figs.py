@@ -21,12 +21,11 @@ from repro.adversary.dropping import DroppingRelays
 from repro.contacts.random_graph import random_contact_graph
 from repro.experiments.config import DEFAULT_CONFIG, PaperConfig
 from repro.experiments.result import FigureResult, Series
-from repro.contacts.events import ExponentialContactProcess
-from repro.experiments.parallel import Workers, run_parallel_batch, worker_count, workers_metadata
+from repro.experiments.parallel import Workers, workers_metadata
 from repro.experiments.runners import (
     RouteOutcome,
-    run_faulty_graph_batch,
-    run_random_graph_batch,
+    SweepVariant,
+    run_fused_graph_sweep,
 )
 from repro.faults.churn import NodeChurnSchedule, churned_graph
 from repro.faults.recovery import RecoveryPolicy
@@ -43,6 +42,18 @@ def _delivered_fraction(pairs: Sequence[RouteOutcome], deadline: float) -> float
         if outcome.delivered and outcome.delay <= deadline
     )
     return hits / len(pairs)
+
+
+def _paper_variant(config: PaperConfig) -> List[SweepVariant]:
+    """The one-variant grid both robustness figures simulate."""
+    return [
+        SweepVariant(
+            label="paper",
+            group_size=config.group_size,
+            onion_routers=config.onion_routers,
+            copies=config.copies,
+        )
+    ]
 
 
 def figure_r1(
@@ -73,7 +84,7 @@ def figure_r1(
     rng = ensure_rng(seed)
     graph = random_contact_graph(config.n, config.mean_intercontact_range, rng=rng)
     children = spawn_rng(rng, 2 * len(availabilities))
-    parallel = worker_count(workers) > 1
+    variant = _paper_variant(config)
 
     model_points: List[Tuple[float, float]] = []
     churn_points: List[Tuple[float, float]] = []
@@ -87,28 +98,15 @@ def figure_r1(
                 config.n, availability, mean_cycle, rng=churn_rng
             )
         )
-        # Parallel chunks share one pre-generated base stream; the churn
-        # filter still wraps it per chunk (filters are per-event iterators).
-        shared = (
-            ExponentialContactProcess(graph, rng=churn_rng).events_until_columnar(
-                deadline
-            )
-            if parallel
-            else None
-        )
-        pairs = run_parallel_batch(
-            run_faulty_graph_batch,
-            sessions=sessions,
-            workers=workers,
-            rng=churn_rng,
-            shared_events=shared,
-            graph=graph,
-            group_size=config.group_size,
-            onion_routers=config.onion_routers,
-            copies=config.copies,
+        pairs = run_fused_graph_sweep(
+            graph,
+            variant,
             horizon=deadline,
+            sessions_per_variant=sessions,
+            rng=churn_rng,
             churn=churn,
-        )
+            workers=workers,
+        )[0]
         churn_points.append((availability, _delivered_fraction(pairs, deadline)))
         model = sum(
             churned_delivery_rate(
@@ -124,26 +122,14 @@ def figure_r1(
         ) / len(pairs)
         model_points.append((availability, model))
 
-        thinned = churned_graph(graph, availability)
-        scaled_shared = (
-            ExponentialContactProcess(thinned, rng=scaled_rng).events_until_columnar(
-                deadline
-            )
-            if parallel
-            else None
-        )
-        scaled = run_parallel_batch(
-            run_random_graph_batch,
-            sessions=sessions,
-            workers=workers,
-            rng=scaled_rng,
-            shared_events=scaled_shared,
-            graph=thinned,
-            group_size=config.group_size,
-            onion_routers=config.onion_routers,
-            copies=config.copies,
+        scaled = run_fused_graph_sweep(
+            churned_graph(graph, availability),
+            variant,
             horizon=deadline,
-        )
+            sessions_per_variant=sessions,
+            rng=scaled_rng,
+            workers=workers,
+        )[0]
         scaled_points.append((availability, _delivered_fraction(scaled, deadline)))
 
     return FigureResult(
@@ -192,34 +178,24 @@ def figure_r2(
     ).compromised
     recovery = RecoveryPolicy(custody_timeout=custody_timeout, max_retries=max_retries)
     children = spawn_rng(rng, 2 * len(drop_probs))
-    parallel = worker_count(workers) > 1
+    variant = _paper_variant(config)
 
     model_points: List[Tuple[float, float]] = []
     plain_points: List[Tuple[float, float]] = []
     recovered_points: List[Tuple[float, float]] = []
     for index, drop_prob in enumerate(drop_probs):
         plain_rng, recovery_rng = children[2 * index], children[2 * index + 1]
-        relays = DroppingRelays(compromised, drop_prob, rng=plain_rng)
-        shared = (
-            ExponentialContactProcess(graph, rng=plain_rng).events_until_columnar(
-                deadline
-            )
-            if parallel
-            else None
-        )
-        pairs = run_parallel_batch(
-            run_faulty_graph_batch,
-            sessions=sessions,
-            workers=workers,
-            rng=plain_rng,
-            shared_events=shared,
-            graph=graph,
-            group_size=config.group_size,
-            onion_routers=config.onion_routers,
-            copies=config.copies,
+        # Each sweep draws the drops from a child stream of its generator.
+        relays = DroppingRelays(compromised, drop_prob)
+        pairs = run_fused_graph_sweep(
+            graph,
+            variant,
             horizon=deadline,
+            sessions_per_variant=sessions,
+            rng=plain_rng,
             relays=relays,
-        )
+            workers=workers,
+        )[0]
         plain_points.append((drop_prob, _delivered_fraction(pairs, deadline)))
         model = sum(
             greyhole_delivery_rate(
@@ -236,28 +212,16 @@ def figure_r2(
         ) / len(pairs)
         model_points.append((drop_prob, model))
 
-        recovery_relays = DroppingRelays(compromised, drop_prob, rng=recovery_rng)
-        recovery_shared = (
-            ExponentialContactProcess(graph, rng=recovery_rng).events_until_columnar(
-                deadline
-            )
-            if parallel
-            else None
-        )
-        recovered = run_parallel_batch(
-            run_faulty_graph_batch,
-            sessions=sessions,
-            workers=workers,
-            rng=recovery_rng,
-            shared_events=recovery_shared,
-            graph=graph,
-            group_size=config.group_size,
-            onion_routers=config.onion_routers,
-            copies=config.copies,
+        recovered = run_fused_graph_sweep(
+            graph,
+            variant,
             horizon=deadline,
-            relays=recovery_relays,
+            sessions_per_variant=sessions,
+            rng=recovery_rng,
+            relays=relays,
             recovery=recovery,
-        )
+            workers=workers,
+        )[0]
         recovered_points.append(
             (drop_prob, _delivered_fraction(recovered, deadline))
         )

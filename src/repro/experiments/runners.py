@@ -22,6 +22,7 @@ from repro.adversary.compromise import (
     StakeWeightedCompromise,
     make_compromise_model,
 )
+from repro.adversary.dropping import DroppingRelays
 from repro.adversary.kernel import (
     SecurityBatchKernel,
     SecuritySweepVariant,
@@ -45,6 +46,11 @@ from repro.core.onion_groups import OnionGroupDirectory
 from repro.core.route import OnionRoute
 from repro.core.single_copy import SingleCopySession
 from repro.experiments.config import DEFAULT_CONFIG
+from repro.experiments.parallel import (
+    Workers,
+    run_parallel_fused_sweep,
+    worker_count,
+)
 from repro.faults.churn import NodeChurnProcess, NodeChurnSchedule
 from repro.faults.failstop import FailStopContactProcess, FailStopSchedule
 from repro.faults.recovery import FaultPlan, RecoveryPolicy
@@ -52,7 +58,7 @@ from repro.sim.engine import SimulationEngine
 from repro.sim.message import Message
 from repro.sim.metrics import DeliveryOutcome, delivery_rate_curve
 from repro.sim.protocol import ProtocolSession
-from repro.utils.rng import RandomSource, ensure_rng
+from repro.utils.rng import RandomSource, ensure_rng, spawn_rng
 from repro.utils.validation import check_fraction, check_positive_int
 
 logger = logging.getLogger(__name__)
@@ -140,91 +146,6 @@ def _make_session(
     )
 
 
-def run_random_graph_batch(
-    graph: ContactGraph,
-    group_size: int,
-    onion_routers: int,
-    copies: int,
-    horizon: float,
-    sessions: int,
-    rng: RandomSource = None,
-    spray_policy: SprayPolicy = SprayPolicy.SOURCE,
-    events=None,
-    kernel: bool = True,
-    deadline: Optional[float] = None,
-    stream_window: Optional[float] = None,
-    max_window_events: Optional[int] = None,
-    backend: Optional[str] = None,
-) -> List[RouteOutcome]:
-    """Simulate ``sessions`` onion-routing sessions over one event stream.
-
-    Each session gets its own random endpoints and route over a fresh
-    random-membership group directory; all sessions share the same sampled
-    contact process (they are read-only observers of it, so this is
-    statistically equivalent to independent runs and much cheaper).
-
-    ``events`` overrides the sampled contact process with a pre-generated
-    source (an :class:`~repro.contacts.events.EventBlock` or any event
-    source) — the shared-stream parallel protocol uses this so worker
-    chunks replay one stream instead of re-sampling it. Note the override
-    skips the process's block pre-draws, so the per-session endpoint/route
-    draws sit at a different offset of the master stream than with
-    ``events=None``.
-
-    ``kernel`` (default on) lets the engine sweep eligible fault-free
-    single-copy and multi-copy sessions with the struct-of-arrays kernels;
-    everything else runs through the object loop, with byte-identical
-    outcomes. ``kernel=False`` routes every session through the object
-    loop.
-
-    ``deadline`` (default: ``horizon``) sets each message's deadline
-    independently of the simulated window — the streaming million-session
-    benchmarks use ``deadline << horizon`` so the batch finishes (and the
-    stream loop exits early) long before the horizon. ``stream_window``
-    and ``max_window_events`` bound the engine's resident event window
-    (window span and per-window event ceiling); by default the engine
-    consumes one horizon-wide window.
-
-    ``backend`` selects the kernel compute backend (``"numpy"`` or
-    ``"cc"``; see :mod:`repro.sim.backend`) and is forwarded
-    to the engine. Outcomes are byte-identical across backends.
-    """
-    generator = ensure_rng(rng)
-    directory = OnionGroupDirectory(graph.n, group_size, rng=generator)
-    if events is None:
-        source = ExponentialContactProcess(graph, rng=generator)
-    else:
-        source = as_event_source(events)
-    engine = SimulationEngine(
-        source,
-        horizon=horizon,
-        stream_window=stream_window,
-        max_window_events=max_window_events,
-        kernels=kernel,
-        backend=backend,
-    )
-    message_deadline = horizon if deadline is None else deadline
-    pairs: List[RouteOutcome] = []
-    live: List[ProtocolSession] = []
-    for _ in range(sessions):
-        source, destination = sample_endpoints(graph.n, generator)
-        route = directory.select_route(
-            source, destination, onion_routers, rng=generator
-        )
-        message = Message(
-            source=source,
-            destination=destination,
-            created_at=0.0,
-            deadline=message_deadline,
-        )
-        session = _make_session(message, route, copies, spray_policy)
-        engine.add_session(session)
-        live.append(session)
-        pairs.append((route, session.outcome()))
-    engine.run()
-    return pairs
-
-
 def run_fused_graph_sweep(
     graph: ContactGraph,
     variants: Sequence[SweepVariant],
@@ -236,22 +157,125 @@ def run_fused_graph_sweep(
     stream_window: Optional[float] = None,
     max_window_events: Optional[int] = None,
     backend: Optional[str] = None,
+    deadline: Optional[float] = None,
+    *,
+    churn: Optional[NodeChurnSchedule] = None,
+    failstop: Optional[FailStopSchedule] = None,
+    relays: Optional[DroppingRelays] = None,
+    recovery: Optional[RecoveryPolicy] = None,
+    workers: Workers = 1,
 ) -> List[List[RouteOutcome]]:
     """Simulate every grid point of a sweep over one shared event stream.
 
     All variants' sessions are registered in *one* engine and advanced in
-    *one* pass over one contact window — with kernels on (the default)
-    that means a single struct-of-arrays invocation per kernel class for
-    the entire grid. Each variant draws its own group directory, endpoints,
-    and routes from the shared ``rng`` (in variant order, so the draw
-    sequence is deterministic); with a single variant the result is
-    byte-identical to :func:`run_random_graph_batch` on the same seed.
+    *one* pass over one sampled contact process — with kernels on (the
+    default) that means a single struct-of-arrays invocation per kernel
+    class for the entire grid. Each variant draws its own group directory,
+    endpoints, and routes from the shared ``rng`` in variant order (the
+    first directory before the process's pre-draws), so the draw sequence
+    is deterministic. A single configuration is a one-variant list.
+
+    ``events`` overrides the sampled contact process with a pre-generated
+    source (an :class:`~repro.contacts.events.EventBlock` or any event
+    source); the override skips the process's pre-draws, so the session
+    draws sit at a different offset of ``rng``. ``deadline`` (default:
+    ``horizon``) sets every message's deadline independently of the
+    simulated window. ``stream_window`` and ``max_window_events`` bound the
+    engine's resident event window; by default it consumes one
+    horizon-wide window. ``kernel`` (default on) lets the engine sweep
+    eligible sessions with the struct-of-arrays kernels; ``kernel=False``
+    routes every session through the object loop, with byte-identical
+    outcomes. ``backend`` names the kernel compute backend (see
+    :mod:`repro.sim.backend`).
+
+    Faults: ``failstop`` and ``churn`` filter the contact stream (fail-stop
+    suppression inside churn suppression; both are pure filters), and
+    ``failstop``/``relays`` reach every session through one
+    :class:`~repro.faults.recovery.FaultPlan`, with ``recovery`` as the
+    sessions' custody policy. Sessions with a plan run on the object loop.
+    Only the dropping set and the drop probability of ``relays`` are used:
+    the sweep draws the drop decisions from a child stream spawned from
+    ``rng`` (the relays' own generator is not consumed), so every parallel
+    chunk draws its own drops and the outcomes do not depend on
+    ``stream_window``.
+
+    ``workers`` above one splits the sweep across a
+    :class:`~repro.experiments.parallel.WorkerPool` through
+    :func:`~repro.experiments.parallel.run_parallel_fused_sweep`: the
+    contact stream is sampled once from ``rng`` up to ``horizon`` and
+    shared by every chunk, then the chunk seeds are spawned. The result is
+    an equally valid sample that differs from the ``workers=1`` one.
+    Passing this function to ``run_parallel_fused_sweep`` directly instead
+    samples a stream per chunk; that stays for wrappers of the sweep (the
+    chaos harness injects faults around it) and for the benches that time
+    unshared chunks.
 
     Returns one outcome list per variant, parallel to ``variants``.
     """
     if not variants:
         raise ValueError("run_fused_graph_sweep needs at least one variant")
     generator = ensure_rng(rng)
+    # One set of options for both paths, so neither can drop a parameter.
+    options = dict(
+        graph=graph,
+        horizon=horizon,
+        kernel=kernel,
+        stream_window=stream_window,
+        max_window_events=max_window_events,
+        backend=backend,
+        deadline=deadline,
+        churn=churn,
+        failstop=failstop,
+        relays=relays,
+        recovery=recovery,
+    )
+    if worker_count(workers) == 1:
+        return _graph_sweep(
+            variants, sessions_per_variant, generator, events, **options
+        )
+    if events is None:
+        events = ExponentialContactProcess(
+            graph, rng=generator
+        ).events_until_columnar(horizon)
+    return run_parallel_fused_sweep(
+        run_fused_graph_sweep,
+        variants=variants,
+        sessions_per_variant=sessions_per_variant,
+        workers=workers,
+        rng=generator,
+        shared_events=events,
+        **options,
+    )
+
+
+def _graph_sweep(
+    variants: Sequence[SweepVariant],
+    sessions_per_variant: int,
+    generator: np.random.Generator,
+    events,
+    *,
+    graph: ContactGraph,
+    horizon: float,
+    kernel: bool,
+    stream_window: Optional[float],
+    max_window_events: Optional[int],
+    backend: Optional[str],
+    deadline: Optional[float],
+    churn: Optional[NodeChurnSchedule],
+    failstop: Optional[FailStopSchedule],
+    relays: Optional[DroppingRelays],
+    recovery: Optional[RecoveryPolicy],
+) -> List[List[RouteOutcome]]:
+    """The serial body of :func:`run_fused_graph_sweep`."""
+    plan: Optional[FaultPlan] = None
+    if failstop is not None or relays is not None:
+        if relays is not None:
+            (drop_rng,) = spawn_rng(generator, 1)
+            relays = DroppingRelays(
+                relays.compromised, relays.drop_prob, rng=drop_rng
+            )
+        plan = FaultPlan(failstop=failstop, relays=relays)
+    message_deadline = horizon if deadline is None else deadline
     results: List[List[RouteOutcome]] = []
     engine: Optional[SimulationEngine] = None
     for variant in variants:
@@ -259,13 +283,14 @@ def run_fused_graph_sweep(
             graph.n, variant.group_size, rng=generator
         )
         if engine is None:
-            # The contact process is created after the first directory so a
-            # single-variant sweep replays run_random_graph_batch's exact
-            # draw order (directory, then process pre-draws, then routes).
             if events is None:
                 source = ExponentialContactProcess(graph, rng=generator)
             else:
                 source = as_event_source(events)
+            if failstop is not None:
+                source = FailStopContactProcess(source, failstop)
+            if churn is not None:
+                source = NodeChurnProcess(source, churn)
             engine = SimulationEngine(
                 source,
                 horizon=horizon,
@@ -281,92 +306,24 @@ def run_fused_graph_sweep(
                 src, dst, variant.onion_routers, rng=generator
             )
             message = Message(
-                source=src, destination=dst, created_at=0.0, deadline=horizon
+                source=src,
+                destination=dst,
+                created_at=0.0,
+                deadline=message_deadline,
             )
             session = _make_session(
-                message, route, variant.copies, variant.spray_policy
+                message,
+                route,
+                variant.copies,
+                variant.spray_policy,
+                faults=plan,
+                recovery=recovery,
             )
             engine.add_session(session)
             pairs.append((route, session.outcome()))
         results.append(pairs)
     engine.run()
     return results
-
-
-def run_faulty_graph_batch(
-    graph: ContactGraph,
-    group_size: int,
-    onion_routers: int,
-    copies: int,
-    horizon: float,
-    sessions: int,
-    rng: RandomSource = None,
-    spray_policy: SprayPolicy = SprayPolicy.SOURCE,
-    *,
-    churn: Optional[NodeChurnSchedule] = None,
-    failstop: Optional[FailStopSchedule] = None,
-    relays=None,
-    recovery: Optional[RecoveryPolicy] = None,
-    events=None,
-    kernel: bool = True,
-    backend: Optional[str] = None,
-) -> List[RouteOutcome]:
-    """:func:`run_random_graph_batch` under injected faults.
-
-    Stacks the fault processes on one sampled event stream (fail-stop
-    suppression inside churn suppression — both are pure filters, order is
-    irrelevant) and hands every session the matching
-    :class:`~repro.faults.recovery.FaultPlan`. The engine quarantines any
-    session that raises, so a pathological route degrades one message, not
-    the batch.
-
-    ``events`` overrides the sampled base stream (shared-stream parallel
-    chunks pass the parent's block here); the fault filters still wrap it,
-    and the engine reads the filtered stream window by window through
-    :func:`~repro.contacts.events.as_event_source`. Each window is drawn
-    before dispatch, so ``relays`` must not draw from ``rng`` when no
-    ``events`` override is given (the sampled stream draws from it).
-
-    ``kernel`` (default on) only bites when no
-    :class:`~repro.faults.recovery.FaultPlan` is attached — i.e. exactly
-    when this call degenerates to the fault-free batch — so it is safe to
-    leave on in sweeps that include a fault-free baseline.
-    """
-    generator = ensure_rng(rng)
-    directory = OnionGroupDirectory(graph.n, group_size, rng=generator)
-    if events is None:
-        events = ExponentialContactProcess(graph, rng=generator)
-    else:
-        events = as_event_source(events)
-    if failstop is not None:
-        events = FailStopContactProcess(events, failstop)
-    if churn is not None:
-        events = NodeChurnProcess(events, churn)
-    plan: Optional[FaultPlan] = None
-    if failstop is not None or relays is not None:
-        plan = FaultPlan(failstop=failstop, relays=relays)
-    engine = SimulationEngine(
-        events,
-        horizon=horizon,
-        kernels=kernel,
-        backend=backend,
-    )
-    pairs: List[RouteOutcome] = []
-    for _ in range(sessions):
-        source, destination = sample_endpoints(graph.n, generator)
-        route = directory.select_route(
-            source, destination, onion_routers, rng=generator
-        )
-        message = Message(
-            source=source, destination=destination, created_at=0.0, deadline=horizon
-        )
-        session = _make_session(
-            message, route, copies, spray_policy, faults=plan, recovery=recovery
-        )
-        engine.add_session(session)
-        pairs.append((route, session.outcome()))
-    engine.run()
-    return pairs
 
 
 @lru_cache(maxsize=4096)
@@ -515,7 +472,7 @@ def security_sweep_montecarlo(
     trials: int,
     rng: RandomSource = None,
     overlapping: bool = False,
-    kernel: Optional[bool] = None,
+    kernel: bool = True,
     compromise_model: "str | CompromiseModel" = "uniform",
     backend: Optional[str] = None,
 ) -> Tuple[float, ...]:
@@ -533,10 +490,9 @@ def security_sweep_montecarlo(
     tuple, so :func:`~repro.experiments.parallel.run_parallel_montecarlo`
     chunk-merges fused sweeps exactly like plain Monte Carlo runners.
 
-    ``kernel`` follows the delivery runners' convention: ``None`` (the
-    default) and ``True`` score through
-    :class:`~repro.adversary.kernel.SecurityBatchKernel`; ``False`` walks
-    the same block through the per-trial scalar objects. Both paths
+    ``kernel`` (default on) scores through
+    :class:`~repro.adversary.kernel.SecurityBatchKernel`; ``kernel=False``
+    walks the same block through the per-trial scalar objects. Both paths
     consume identical draws, so the estimates are equal to the last bit.
     ``compromise_model`` selects the adversary: a registry name
     (``uniform``, ``bernoulli``, ``targeted``, ``stake``) or a
@@ -562,7 +518,7 @@ def security_sweep_montecarlo(
         rng=generator,
         overlapping=overlapping,
     )
-    if kernel is False:
+    if not kernel:
         scored = [
             _scalar_variant_scores(block, model, variant) for variant in variants
         ]
@@ -585,7 +541,7 @@ def security_montecarlo(
     trials: int,
     rng: RandomSource = None,
     overlapping: bool = False,
-    kernel: Optional[bool] = None,
+    kernel: bool = True,
     compromise_model: "str | CompromiseModel" = "uniform",
     backend: Optional[str] = None,
 ) -> Tuple[float, float]:
@@ -705,68 +661,6 @@ def _place_trace_sessions(
     return pairs
 
 
-def run_trace_batch(
-    trace: ContactTrace,
-    group_size: int,
-    onion_routers: int,
-    copies: int,
-    deadline: float,
-    sessions: int,
-    rng: RandomSource = None,
-    overlapping: bool = False,
-    kernel: bool = True,
-    stream_window: Optional[float] = None,
-    max_window_events: Optional[int] = None,
-    backend: Optional[str] = None,
-) -> List[RouteOutcome]:
-    """Simulate onion routing sessions over a replayed trace.
-
-    Each session's creation time is the start of a uniformly chosen
-    first-half contact involving its source (see
-    :func:`_first_half_contact_starts`); callers should check
-    ``len(result)`` against ``sessions`` when partial placement on a
-    sparse trace matters.
-
-    ``kernel`` defaults to on — :class:`~repro.contacts.events.TraceReplayProcess`
-    serves columnar windows, so eligible sessions are swept by the
-    struct-of-arrays kernels directly over the replayed trace; see
-    :func:`run_random_graph_batch`.
-    """
-    generator = ensure_rng(rng)
-    trace = trace.normalized()
-    n = trace.n
-    if n < 3:
-        raise ValueError("trace too small for onion routing")
-    directory = (
-        None if overlapping else OnionGroupDirectory(n, group_size, rng=generator)
-    )
-    contacts_by_node = _first_half_contact_starts(trace)
-    engine = SimulationEngine(
-        TraceReplayProcess(trace),
-        horizon=trace.end + 1.0,
-        stream_window=stream_window,
-        max_window_events=max_window_events,
-        kernels=kernel,
-        backend=backend,
-    )
-    pairs = _place_trace_sessions(
-        engine,
-        n,
-        contacts_by_node,
-        directory,
-        overlapping,
-        group_size,
-        onion_routers,
-        copies,
-        SprayPolicy.SOURCE,
-        deadline,
-        sessions,
-        generator,
-    )
-    engine.run()
-    return pairs
-
-
 def run_fused_trace_sweep(
     trace: ContactTrace,
     variants: Sequence[SweepVariant],
@@ -785,8 +679,10 @@ def run_fused_trace_sweep(
     sessions — e.g. fig. 17's ``L`` grid — run in one engine pass over a
     single :class:`~repro.contacts.events.TraceReplayProcess`, giving one
     kernel invocation per kernel class for the whole grid and common
-    random numbers across the grid points. With a single variant the
-    result is byte-identical to :func:`run_trace_batch` on the same seed.
+    random numbers across the grid points. Each session's creation time is
+    the start of a uniformly chosen first-half contact involving its
+    source (see :func:`_first_half_contact_starts`); on a sparse trace a
+    variant may place fewer than ``sessions_per_variant`` sessions.
 
     Returns one outcome list per variant, parallel to ``variants``.
     """

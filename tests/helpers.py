@@ -1,10 +1,12 @@
-"""Shared test helpers: scripted event sources."""
+"""Shared test helpers: scripted event sources, one-variant sweep grids."""
 
 from __future__ import annotations
 
 from typing import Iterable, List, Sequence, Tuple
 
 from repro.contacts.events import ContactEvent
+from repro.core.multi_copy import SprayPolicy
+from repro.experiments.runners import SweepVariant
 
 
 class ScriptedEvents:
@@ -30,3 +32,21 @@ def feed(session, events: Sequence[Tuple[float, int, int]]) -> None:
     """Push scripted contacts straight into a session, in time order."""
     for t, a, b in sorted(events):
         session.on_contact(ContactEvent(time=t, a=a, b=b))
+
+
+def one_variant(
+    group_size: int,
+    onion_routers: int,
+    copies: int = 1,
+    spray_policy: SprayPolicy = SprayPolicy.SOURCE,
+) -> List[SweepVariant]:
+    """A single-configuration grid for the fused sweep runners."""
+    return [
+        SweepVariant(
+            label="only",
+            group_size=group_size,
+            onion_routers=onion_routers,
+            copies=copies,
+            spray_policy=spray_policy,
+        )
+    ]

@@ -23,8 +23,9 @@ from repro.contacts.events import (
 from repro.contacts.random_graph import random_contact_graph
 from repro.contacts.synthetic import cambridge_like_trace
 from repro.contacts.traces import ContactRecord, ContactTrace
-from repro.experiments.runners import run_random_graph_batch, run_trace_batch
+from repro.experiments.runners import run_fused_graph_sweep, run_fused_trace_sweep
 from repro.sim.engine import SimulationEngine
+from tests.helpers import one_variant
 from tests.oracles import ORACLES, runners_using
 
 
@@ -244,8 +245,9 @@ class TestEngineConsumeModes:
         sigs = {}
         for mode in ("broadcast", "iterator", "columnar"):
             with runners_using(ORACLES.get(mode, SimulationEngine)):
-                pairs = run_random_graph_batch(
-                    graph, 4, 2, copies=1, horizon=360.0, sessions=60,
+                [pairs] = run_fused_graph_sweep(
+                    graph, one_variant(4, 2), horizon=360.0,
+                    sessions_per_variant=60,
                     rng=np.random.default_rng(seed), kernel=False,
                 )
             sigs[mode] = _signature(pairs)
@@ -260,8 +262,9 @@ class TestEngineConsumeModes:
         sigs = {}
         for mode in ("iterator", "columnar"):
             with runners_using(ORACLES.get(mode, SimulationEngine)):
-                pairs = run_random_graph_batch(
-                    graph, 4, 2, copies=3, horizon=360.0, sessions=30,
+                [pairs] = run_fused_graph_sweep(
+                    graph, one_variant(4, 2, 3), horizon=360.0,
+                    sessions_per_variant=30,
                     rng=np.random.default_rng(8), kernel=False,
                 )
             sigs[mode] = _signature(pairs)
@@ -272,9 +275,9 @@ class TestEngineConsumeModes:
         sigs = {}
         for mode in ("iterator", "columnar"):
             with runners_using(ORACLES.get(mode, SimulationEngine)):
-                pairs = run_trace_batch(
-                    trace, group_size=4, onion_routers=2, copies=1,
-                    deadline=3600.0, sessions=25,
+                [pairs] = run_fused_trace_sweep(
+                    trace, one_variant(4, 2), deadline=3600.0,
+                    sessions_per_variant=25,
                     rng=np.random.default_rng(21), kernel=False,
                 )
             sigs[mode] = _signature(pairs)

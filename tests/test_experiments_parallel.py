@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.adversary.dropping import DroppingRelays
 from repro.cli import main
 from repro.contacts.random_graph import random_contact_graph
 from repro.contacts.events import (
@@ -14,7 +15,6 @@ from repro.experiments.parallel import (
     chunk_sizes,
     default_chunk_count,
     parallel_map,
-    run_parallel_batch,
     run_parallel_fused_sweep,
     run_parallel_montecarlo,
     spawn_chunk_seeds,
@@ -22,11 +22,11 @@ from repro.experiments.parallel import (
 from repro.experiments.runners import (
     SweepVariant,
     run_fused_graph_sweep,
-    run_random_graph_batch,
     security_montecarlo,
 )
 from repro.experiments.shm import leaked_arena_segments
 from repro.utils.resilience import RetryPolicy
+from tests.helpers import one_variant
 
 
 class TestChunkSizes:
@@ -79,18 +79,20 @@ def graph():
     return random_contact_graph(30, (10.0, 120.0), rng=np.random.default_rng(3))
 
 
-def _batch(graph, workers, seed=17):
-    pairs = run_parallel_batch(
-        run_random_graph_batch,
-        sessions=24,
+def _parallel_batch(workers, rng, **kwargs):
+    """One-variant (g=4, K=2) graph sweep through the parallel wrapper."""
+    return run_parallel_fused_sweep(
+        run_fused_graph_sweep,
+        variants=one_variant(4, 2),
         workers=workers,
-        rng=seed,
-        graph=graph,
-        group_size=4,
-        onion_routers=2,
-        copies=1,
+        rng=rng,
         horizon=240.0,
-    )
+        **kwargs,
+    )[0]
+
+
+def _batch(graph, workers, seed=17):
+    pairs = _parallel_batch(workers, seed, sessions_per_variant=24, graph=graph)
     return [
         (o.delivered, o.delivery_time, o.transmissions, o.status)
         for _, o in pairs
@@ -99,20 +101,12 @@ def _batch(graph, workers, seed=17):
 
 class TestRunParallelBatch:
     def test_workers_1_is_seed_exact_with_serial(self, graph):
-        serial = run_random_graph_batch(
-            graph, 4, 2, copies=1, horizon=240.0, sessions=24,
+        [serial] = run_fused_graph_sweep(
+            graph, one_variant(4, 2), horizon=240.0, sessions_per_variant=24,
             rng=np.random.default_rng(17),
         )
-        wrapped = run_parallel_batch(
-            run_random_graph_batch,
-            sessions=24,
-            workers=1,
-            rng=np.random.default_rng(17),
-            graph=graph,
-            group_size=4,
-            onion_routers=2,
-            copies=1,
-            horizon=240.0,
+        wrapped = _parallel_batch(
+            1, np.random.default_rng(17), sessions_per_variant=24, graph=graph
         )
         assert [o.delivered for _, o in serial] == [
             o.delivered for _, o in wrapped
@@ -270,47 +264,48 @@ class TestSharedStreamParallel:
         # The shared-stream merge must equal running each spawned chunk
         # serially against a fresh cursor over the same block.
         block = self._block(graph)
-        merged = run_parallel_batch(
-            run_random_graph_batch,
-            sessions=24,
-            workers=4,
-            rng=np.random.default_rng(17),
-            shared_events=block,
-            graph=graph,
-            group_size=4,
-            onion_routers=2,
-            copies=1,
-            horizon=240.0,
+        merged = _parallel_batch(
+            4, np.random.default_rng(17), sessions_per_variant=24,
+            shared_events=block, graph=graph,
         )
         sizes = chunk_sizes(24, default_chunk_count(24))
         seeds = spawn_chunk_seeds(np.random.default_rng(17), len(sizes))
         replayed = []
         for size, seed in zip(sizes, seeds):
             replayed.extend(
-                run_random_graph_batch(
-                    graph, 4, 2, copies=1, horizon=240.0, sessions=size,
+                run_fused_graph_sweep(
+                    graph, one_variant(4, 2), horizon=240.0,
+                    sessions_per_variant=size,
                     rng=np.random.default_rng(seed),
                     events=ColumnarEventSource(block),
-                )
+                )[0]
             )
         assert _shared_signature(merged) == _shared_signature(replayed)
+
+    def test_graph_sweep_workers_share_a_stream_drawn_first(self, graph):
+        # With workers > 1 the graph sweep samples the shared stream from
+        # its generator first, then spawns the chunk seeds from it.
+        rng = np.random.default_rng(17)
+        block = ExponentialContactProcess(graph, rng=rng).events_until_columnar(
+            240.0
+        )
+        explicit = _parallel_batch(
+            2, rng, sessions_per_variant=24, shared_events=block, graph=graph
+        )
+        [swept] = run_fused_graph_sweep(
+            graph, one_variant(4, 2), horizon=240.0, sessions_per_variant=24,
+            rng=np.random.default_rng(17), workers=2,
+        )
+        assert _shared_signature(swept) == _shared_signature(explicit)
 
     def test_pool_and_int_workers_agree(self, graph):
         block = self._block(graph)
 
         def run(workers):
             return _shared_signature(
-                run_parallel_batch(
-                    run_random_graph_batch,
-                    sessions=24,
-                    workers=workers,
-                    rng=np.random.default_rng(17),
-                    shared_events=block,
-                    graph=graph,
-                    group_size=4,
-                    onion_routers=2,
-                    copies=1,
-                    horizon=240.0,
+                _parallel_batch(
+                    workers, np.random.default_rng(17),
+                    sessions_per_variant=24, shared_events=block, graph=graph,
                 )
             )
 
@@ -333,10 +328,9 @@ class TestSharedStreamParallel:
             rng = np.random.default_rng(17)
             if entry == "batch":
                 return _shared_signature(
-                    run_parallel_batch(
-                        run_random_graph_batch, sessions=24, workers=workers,
-                        rng=rng, shared_events=block, graph=graph,
-                        group_size=4, onion_routers=2, copies=1, horizon=240.0,
+                    _parallel_batch(
+                        workers, rng, sessions_per_variant=24,
+                        shared_events=block, graph=graph,
                     )
                 )
             if entry == "fused-sweep":
@@ -378,36 +372,49 @@ class TestSharedStreamParallel:
 
     def test_workers_1_uses_block_directly(self, graph):
         block = self._block(graph)
-        direct = run_random_graph_batch(
-            graph, 4, 2, copies=1, horizon=240.0, sessions=24,
+        [direct] = run_fused_graph_sweep(
+            graph, one_variant(4, 2), horizon=240.0, sessions_per_variant=24,
             rng=np.random.default_rng(17),
             events=ColumnarEventSource(block),
         )
-        wrapped = run_parallel_batch(
-            run_random_graph_batch,
-            sessions=24,
-            workers=1,
-            rng=np.random.default_rng(17),
-            shared_events=block,
-            graph=graph,
-            group_size=4,
-            onion_routers=2,
-            copies=1,
-            horizon=240.0,
+        wrapped = _parallel_batch(
+            1, np.random.default_rng(17), sessions_per_variant=24,
+            shared_events=block, graph=graph,
         )
         assert _shared_signature(direct) == _shared_signature(wrapped)
 
     def test_rejects_non_block_shared_events(self, graph):
         with pytest.raises(TypeError):
-            run_parallel_batch(
-                run_random_graph_batch,
-                sessions=8,
-                workers=2,
-                rng=1,
-                shared_events=object(),
+            _parallel_batch(
+                2, 1, sessions_per_variant=8, shared_events=object(),
                 graph=graph,
-                group_size=4,
-                onion_routers=2,
-                copies=1,
-                horizon=240.0,
             )
+
+
+class TestChunkDropStreams:
+    def test_chunks_draw_independent_drop_streams(self, graph, monkeypatch):
+        # Every chunk unpickles the same relays object; its drop decisions
+        # must still come from the chunk's own spawned stream, not from
+        # one generator state replayed by every chunk.
+        draws = []
+
+        def recording_drops(self, receiver):
+            if receiver not in self.compromised:
+                return False
+            draw = self._rng.random()
+            draws.append((self, draw))
+            return draw < self.drop_prob
+
+        monkeypatch.setattr(DroppingRelays, "drops", recording_drops)
+        with WorkerPool(2, max_processes=1) as pool:  # inline: draws visible
+            _parallel_batch(
+                pool, 202, sessions_per_variant=32, chunks=4, graph=graph,
+                relays=DroppingRelays(range(30), 0.5),
+            )
+        streams = {}
+        for relays, draw in draws:
+            streams.setdefault(id(relays), []).append(draw)
+        heads = [tuple(stream[:3]) for stream in streams.values()]
+        assert len(heads) == 4
+        assert all(len(head) == 3 for head in heads)
+        assert len(set(heads)) == len(heads)

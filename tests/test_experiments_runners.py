@@ -12,16 +12,16 @@ from repro.contacts.traces import ContactRecord, ContactTrace
 from repro.core.route import OnionRoute
 from repro.experiments.runners import (
     analysis_delivery_curve,
-    run_faulty_graph_batch,
     estimate_active_span,
-    run_random_graph_batch,
-    run_trace_batch,
+    run_fused_graph_sweep,
+    run_fused_trace_sweep,
     sample_endpoints,
     security_montecarlo,
     select_overlapping_route,
     simulated_delivery_curve,
     trace_contact_graph,
 )
+from tests.helpers import one_variant
 from tests.oracles import sample_copy_paths
 from repro.faults.failstop import FailStopSchedule
 from repro.faults.churn import NodeChurnSchedule
@@ -62,9 +62,9 @@ class TestSelectOverlappingRoute:
 class TestRandomGraphBatch:
     def test_batch_shape_and_outcomes(self):
         graph = ContactGraph.complete(30, 0.05)
-        batch = run_random_graph_batch(
-            graph, group_size=5, onion_routers=2, copies=1,
-            horizon=500.0, sessions=10, rng=0,
+        [batch] = run_fused_graph_sweep(
+            graph, one_variant(5, 2), horizon=500.0, sessions_per_variant=10,
+            rng=0,
         )
         assert len(batch) == 10
         for route, outcome in batch:
@@ -75,11 +75,13 @@ class TestRandomGraphBatch:
 
     def test_multicopy_batch_costs_more(self):
         graph = ContactGraph.complete(30, 0.05)
-        single = run_random_graph_batch(
-            graph, 5, 2, copies=1, horizon=2000.0, sessions=15, rng=1
+        [single] = run_fused_graph_sweep(
+            graph, one_variant(5, 2, 1), horizon=2000.0,
+            sessions_per_variant=15, rng=1,
         )
-        multi = run_random_graph_batch(
-            graph, 5, 2, copies=3, horizon=2000.0, sessions=15, rng=1
+        [multi] = run_fused_graph_sweep(
+            graph, one_variant(5, 2, 3), horizon=2000.0,
+            sessions_per_variant=15, rng=1,
         )
         mean = lambda batch: np.mean([o.transmissions for _, o in batch])
         assert mean(multi) > mean(single)
@@ -88,7 +90,7 @@ class TestRandomGraphBatch:
 class TestDeliveryCurves:
     def test_analysis_curve_monotone(self):
         graph = ContactGraph.complete(30, 0.02)
-        batch = run_random_graph_batch(graph, 5, 2, 1, 400.0, 5, rng=2)
+        [batch] = run_fused_graph_sweep(graph, one_variant(5, 2), 400.0, 5, rng=2)
         routes = [route for route, _ in batch]
         curve = analysis_delivery_curve(graph, routes, [50.0, 150.0, 400.0])
         values = [y for _, y in curve]
@@ -105,7 +107,7 @@ class TestDeliveryCurves:
 
     def test_simulated_curve_from_outcomes(self):
         graph = ContactGraph.complete(30, 0.05)
-        batch = run_random_graph_batch(graph, 5, 2, 1, 800.0, 20, rng=3)
+        [batch] = run_fused_graph_sweep(graph, one_variant(5, 2), 800.0, 20, rng=3)
         outcomes = [o for _, o in batch]
         curve = simulated_delivery_curve(outcomes, [100.0, 800.0])
         assert curve[0][1] <= curve[1][1]
@@ -173,9 +175,9 @@ class TestSampleCopyPaths:
 class TestTraceBatch:
     def test_trace_pipeline(self):
         trace = cambridge_like_trace(days=2, rng=0)
-        batch = run_trace_batch(
-            trace, group_size=10, onion_routers=3, copies=1,
-            deadline=3600.0, sessions=5, rng=0, overlapping=True,
+        [batch] = run_fused_trace_sweep(
+            trace, one_variant(10, 3), deadline=3600.0,
+            sessions_per_variant=5, rng=0, overlapping=True,
         )
         assert len(batch) == 5
         for route, outcome in batch:
@@ -197,9 +199,9 @@ class TestFaultyGraphBatch:
         return ContactGraph.complete(20, 0.05)
 
     def test_faultless_matches_plain_batch_shape(self):
-        batch = run_faulty_graph_batch(
-            self._graph(), group_size=3, onion_routers=2, copies=1,
-            horizon=400.0, sessions=10, rng=5,
+        [batch] = run_fused_graph_sweep(
+            self._graph(), one_variant(3, 2), horizon=400.0,
+            sessions_per_variant=10, rng=5,
         )
         assert len(batch) == 10
         for route, outcome in batch:
@@ -208,11 +210,10 @@ class TestFaultyGraphBatch:
 
     def test_churn_reduces_delivery(self):
         kwargs = dict(
-            group_size=3, onion_routers=2, copies=1,
-            horizon=300.0, sessions=40,
+            variants=one_variant(3, 2), horizon=300.0, sessions_per_variant=40,
         )
-        plain = run_faulty_graph_batch(self._graph(), rng=6, **kwargs)
-        churned = run_faulty_graph_batch(
+        [plain] = run_fused_graph_sweep(self._graph(), rng=6, **kwargs)
+        [churned] = run_fused_graph_sweep(
             self._graph(), rng=6,
             churn=NodeChurnSchedule.from_availability(20, 0.3, 20.0, rng=7),
             **kwargs,
@@ -222,20 +223,20 @@ class TestFaultyGraphBatch:
 
     def test_blackhole_relays_drop_sessions(self):
         relays = DroppingRelays.blackholes(set(range(20)))
-        batch = run_faulty_graph_batch(
-            self._graph(), group_size=3, onion_routers=2, copies=1,
-            horizon=400.0, sessions=15, rng=8, relays=relays,
+        [batch] = run_fused_graph_sweep(
+            self._graph(), one_variant(3, 2), horizon=400.0,
+            sessions_per_variant=15, rng=8, relays=relays,
         )
         statuses = {outcome.status for _, outcome in batch}
         assert "dropped" in statuses
         assert not any(outcome.delivered for _, outcome in batch)
 
     def test_recovery_with_failstop_runs(self):
-        batch = run_faulty_graph_batch(
-            self._graph(), group_size=3, onion_routers=2, copies=2,
-            horizon=400.0, sessions=15, rng=9,
+        [batch] = run_fused_graph_sweep(
+            self._graph(), one_variant(3, 2, 2), horizon=400.0,
+            sessions_per_variant=15, rng=9,
             failstop=FailStopSchedule(20, death_rate=0.002, rng=10),
-            relays=DroppingRelays.sample(20, 0.2, 0.5, rng=11),
+            relays=DroppingRelays(range(0, 20, 5), 0.5),
             recovery=RecoveryPolicy(custody_timeout=30.0, max_retries=2),
         )
         assert len(batch) == 15
@@ -255,9 +256,9 @@ class TestSparseTrace:
             records.append(ContactRecord(i, i + 1, 900.0 + i, 905.0 + i))
         trace = ContactTrace(records)
         with caplog.at_level(logging.WARNING, logger="repro.experiments.runners"):
-            batch = run_trace_batch(
-                trace, group_size=5, onion_routers=2, copies=1,
-                deadline=100.0, sessions=8, rng=3, overlapping=True,
+            [batch] = run_fused_trace_sweep(
+                trace, one_variant(5, 2), deadline=100.0,
+                sessions_per_variant=8, rng=3, overlapping=True,
             )
         assert len(batch) < 8  # partial, not empty-handed ...
         assert any("trace too sparse" in r.message for r in caplog.records)

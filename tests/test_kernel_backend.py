@@ -33,7 +33,6 @@ from repro.core.single_copy import SingleCopySession
 from repro.experiments.runners import (
     SweepVariant,
     run_fused_graph_sweep,
-    run_random_graph_batch,
     sample_endpoints,
     security_montecarlo,
 )
@@ -53,6 +52,7 @@ from repro.sim.engine import SimulationEngine
 from repro.sim.kernel import BatchKernel, MultiCopyBatchKernel
 from repro.sim.message import Message
 from repro.utils.resilience import KERNEL_FALLBACK
+from tests.helpers import one_variant
 
 COMPILED = [name for name in ("cc",) if BACKENDS[name].available()]
 
@@ -263,13 +263,11 @@ class TestCompiledIdentity:
         graph = random_contact_graph(30, (10.0, 120.0), rng=np.random.default_rng(5))
         runs = {}
         for name in ("numpy", backend):
-            pairs = run_random_graph_batch(
+            [pairs] = run_fused_graph_sweep(
                 graph,
-                4,
-                2,
-                copies=3,
+                one_variant(4, 2, 3),
                 horizon=360.0,
-                sessions=40,
+                sessions_per_variant=40,
                 rng=np.random.default_rng(5),
                 backend=name,
             )
@@ -368,16 +366,14 @@ class TestMidRunDegradation:
         graph = random_contact_graph(30, (10.0, 120.0), rng=np.random.default_rng(5))
 
         def run_with(backend):
-            return run_random_graph_batch(
+            return run_fused_graph_sweep(
                 graph,
-                4,
-                2,
-                copies=3,
+                one_variant(4, 2, 3),
                 horizon=360.0,
-                sessions=30,
+                sessions_per_variant=30,
                 rng=np.random.default_rng(5),
                 backend=backend,
-            )
+            )[0]
 
         reference = outcome_fields(o for _, o in run_with("numpy"))
 

@@ -115,3 +115,13 @@ def test_mismatched_workloads_stay_report_only():
     current["workload"]["sessions"] = 100
     baseline = report(speedup_kernel_multicopy_vs_columnar=20.0)
     assert bench_delta.find_regressions(current, baseline, threshold=25.0) == []
+
+
+def test_line_counts_are_report_only_rows():
+    current = report(loc={"src": 16700, "tests": 15000})
+    baseline = report(loc={"src": 10000, "tests": 9000})
+    assert bench_delta.find_regressions(current, baseline, threshold=25.0) == []
+    table = bench_delta.build_table(current, baseline, [])
+    row = next(line for line in table.splitlines() if "src lines" in line)
+    assert "16,700" in row and "10,000" in row
+    assert "-67.0%" in row  # more code reads as a worsening

@@ -26,8 +26,8 @@ from repro.contacts.events import (
 )
 from repro.contacts.random_graph import random_contact_graph
 from repro.experiments import shm
-from repro.experiments.parallel import WorkerPool, run_parallel_batch
-from repro.experiments.runners import run_random_graph_batch
+from repro.experiments.parallel import WorkerPool, run_parallel_fused_sweep
+from repro.experiments.runners import run_fused_graph_sweep
 from repro.experiments.shm import (
     BlockDescriptor,
     SharedBlockArena,
@@ -36,6 +36,7 @@ from repro.experiments.shm import (
     leaked_arena_segments,
 )
 from repro.utils.resilience import WORKER_CRASH, ExecutionReport, RetryPolicy
+from tests.helpers import one_variant
 
 
 @pytest.fixture
@@ -147,8 +148,8 @@ class TestOwnership:
 
 
 def _kill_once_batch(
-    graph, group_size, onion_routers, copies, horizon,
-    sessions=None, rng=None, events=None, fuse_dir=None,
+    graph, variants, horizon,
+    sessions_per_variant=None, rng=None, events=None, fuse_dir=None,
 ):
     """One chunk SIGKILLs its worker mid-run; retries replay cleanly."""
     fuse = Path(fuse_dir) / "kill.fuse"
@@ -157,9 +158,9 @@ def _kill_once_batch(
         os.kill(os.getpid(), signal.SIGKILL)
     except FileNotFoundError:
         pass
-    return run_random_graph_batch(
-        graph, group_size, onion_routers, copies=copies, horizon=horizon,
-        sessions=sessions, rng=rng, events=events,
+    return run_fused_graph_sweep(
+        graph, variants, horizon=horizon,
+        sessions_per_variant=sessions_per_variant, rng=rng, events=events,
     )
 
 
@@ -175,20 +176,20 @@ class TestCrashSafety:
         self, graph, event_block, tmp_path
     ):
         kwargs = dict(
-            graph=graph, group_size=4, onion_routers=2, copies=1,
-            horizon=240.0, fuse_dir=str(tmp_path),
+            graph=graph, variants=one_variant(4, 2), horizon=240.0,
+            fuse_dir=str(tmp_path),
         )
 
         def run(pool_args):
             return _signature(
-                run_parallel_batch(
+                run_parallel_fused_sweep(
                     _kill_once_batch,
-                    sessions=12,
+                    sessions_per_variant=12,
                     rng=np.random.default_rng(23),
                     shared_events=event_block,
                     **pool_args,
                     **kwargs,
-                )
+                )[0]
             )
 
         clean = run(dict(workers=2))
@@ -209,16 +210,14 @@ class TestCrashSafety:
         assert leaked_arena_segments() == []
 
     def test_int_workers_arena_released_on_completion(self, graph, event_block):
-        run_parallel_batch(
-            run_random_graph_batch,
-            sessions=8,
+        run_parallel_fused_sweep(
+            run_fused_graph_sweep,
+            variants=one_variant(4, 2),
+            sessions_per_variant=8,
             workers=2,
             rng=np.random.default_rng(3),
             shared_events=event_block,
             graph=graph,
-            group_size=4,
-            onion_routers=2,
-            copies=1,
             horizon=240.0,
         )
         assert leaked_arena_segments() == []
@@ -229,25 +228,24 @@ class TestCrashSafety:
 
         boom.__name__ = "boom"
         with pytest.raises(RuntimeError):
-            run_parallel_batch(
+            run_parallel_fused_sweep(
                 boom,
-                sessions=8,
+                variants=one_variant(4, 2),
+                sessions_per_variant=8,
                 workers=1,  # workers=1 calls inline; use 2 for the arena path
                 rng=np.random.default_rng(3),
                 graph=graph,
             )
         # The shared path's try/finally is what the next assert exercises.
         with pytest.raises(Exception):
-            run_parallel_batch(
+            run_parallel_fused_sweep(
                 _kill_once_batch,
-                sessions=8,
+                variants=one_variant(400, 2),  # invalid: every chunk raises
+                sessions_per_variant=8,
                 workers=2,
                 rng=np.random.default_rng(3),
                 shared_events=event_block,
                 graph=graph,
-                group_size=400,  # invalid: every chunk raises
-                onion_routers=2,
-                copies=1,
                 horizon=240.0,
                 fuse_dir="/nonexistent",
             )
@@ -262,8 +260,8 @@ _FORK_AFTER_SHARE = """
 import numpy as np
 from repro.contacts.events import ExponentialContactProcess
 from repro.contacts.random_graph import random_contact_graph
-from repro.experiments.parallel import WorkerPool, run_parallel_batch
-from repro.experiments.runners import run_random_graph_batch
+from repro.experiments.parallel import WorkerPool
+from repro.experiments.runners import SweepVariant, run_fused_graph_sweep
 
 graph = random_contact_graph(20, (4.0, 30.0), rng=np.random.default_rng(7))
 with WorkerPool(2, max_processes=2) as pool:
@@ -271,10 +269,10 @@ with WorkerPool(2, max_processes=2) as pool:
         block = ExponentialContactProcess(
             graph, rng=np.random.default_rng(seed)
         ).events_until_columnar(240.0)
-        run_parallel_batch(
-            run_random_graph_batch, sessions=8, workers=pool, rng=seed,
-            shared_events=block, graph=graph, group_size=4,
-            onion_routers=2, copies=1, horizon=240.0,
+        run_fused_graph_sweep(
+            graph, [SweepVariant("only", group_size=4, onion_routers=2)],
+            horizon=240.0, sessions_per_variant=8, rng=seed, events=block,
+            workers=pool,
         )
 """
 

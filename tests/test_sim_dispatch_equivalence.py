@@ -22,10 +22,8 @@ from repro.faults.recovery import RecoveryPolicy
 from repro.sim.engine import SimulationEngine
 from repro.sim.metrics import DeliveryOutcome
 from repro.sim.protocol import ProtocolSession
-from repro.experiments.runners import (
-    run_faulty_graph_batch,
-    run_random_graph_batch,
-)
+from repro.experiments.runners import run_fused_graph_sweep
+from tests.helpers import one_variant
 from tests.oracles import BroadcastEngine, runners_using
 
 
@@ -52,26 +50,24 @@ def graph():
     return random_contact_graph(40, (10.0, 120.0), rng=np.random.default_rng(7))
 
 
-def both_modes(batch_fn, graph, seed, make_kwargs=dict, **kwargs):
+def both_modes(graph, seed, copies, make_kwargs=dict):
     """Run the batch under the broadcast oracle and the engine alike.
 
     ``make_kwargs`` builds per-run keyword arguments — fault objects like
-    :class:`DroppingRelays` carry their own RNG state and must be
-    constructed fresh for each run, or the first run perturbs the second.
+    :class:`FailStopSchedule` carry state and must be constructed fresh
+    for each run, or the first run perturbs the second.
     """
 
     def run():
         return outcome_fields(
-            batch_fn(
+            run_fused_graph_sweep(
                 graph,
-                4,
-                2,
+                one_variant(4, 2, copies),
                 horizon=360.0,
-                sessions=30,
+                sessions_per_variant=30,
                 rng=np.random.default_rng(seed),
-                **kwargs,
                 **make_kwargs(),
-            )
+            )[0]
         )
 
     with runners_using(BroadcastEngine):
@@ -81,32 +77,23 @@ def both_modes(batch_fn, graph, seed, make_kwargs=dict, **kwargs):
 
 class TestDispatchEquivalence:
     def test_single_copy_batch(self, graph):
-        broadcast, indexed = both_modes(
-            run_random_graph_batch, graph, 11, copies=1
-        )
+        broadcast, indexed = both_modes(graph, 11, copies=1)
         assert broadcast == indexed
 
     def test_multi_copy_batch(self, graph):
-        broadcast, indexed = both_modes(
-            run_random_graph_batch, graph, 12, copies=3
-        )
+        broadcast, indexed = both_modes(graph, 12, copies=3)
         assert broadcast == indexed
 
     def test_greyhole_with_recovery_batch(self, graph):
-        # Dropping relays draw from a shared RNG stream, so any difference
-        # in dispatch order or count between modes shows up immediately.
+        # Dropping relays draw from one RNG stream, so any difference in
+        # dispatch order or count between modes shows up immediately.
         for copies in (1, 3):
             broadcast, indexed = both_modes(
-                run_faulty_graph_batch,
                 graph,
                 13,
                 copies=copies,
                 make_kwargs=lambda: {
-                    "relays": DroppingRelays(
-                        frozenset(range(5, 15)),
-                        0.6,
-                        rng=np.random.default_rng(99),
-                    ),
+                    "relays": DroppingRelays(frozenset(range(5, 15)), 0.6),
                     "recovery": RecoveryPolicy(
                         custody_timeout=30.0, max_retries=2
                     ),
@@ -118,7 +105,6 @@ class TestDispatchEquivalence:
         # Fail-stop sessions opt out of indexing (watched_nodes -> None);
         # equivalence must still hold through the broadcast fallback.
         broadcast, indexed = both_modes(
-            run_faulty_graph_batch,
             graph,
             14,
             copies=3,

@@ -24,11 +24,12 @@ from repro.core.route import OnionRoute
 from repro.core.single_copy import SingleCopySession
 from repro.adversary.dropping import DroppingRelays
 from repro.faults.recovery import FaultPlan, RecoveryPolicy
-from repro.experiments.runners import run_random_graph_batch
+from repro.experiments.runners import run_fused_graph_sweep
 from repro.sim.engine import SimulationEngine
 from repro.sim.kernel import BatchKernel
 from repro.sim.message import Message
 from repro.sim.metrics import status_counts
+from tests.helpers import one_variant
 from tests.oracles import IteratorEngine, runners_using
 
 
@@ -71,15 +72,13 @@ def test_kernel_matches_columnar(n, group_size, onion_routers, seed):
     counts = []
     for engine_cls in (IteratorEngine, SimulationEngine):
         with runners_using(engine_cls):
-            pairs = run_random_graph_batch(
+            pairs = run_fused_graph_sweep(
                 graph,
-                group_size,
-                onion_routers,
-                1,
+                one_variant(group_size, onion_routers),
                 horizon=360.0,
-                sessions=30,
+                sessions_per_variant=30,
                 rng=np.random.default_rng(seed),
-            )
+            )[0]
         runs.append(batch_fields(pairs))
         counts.append(status_counts([outcome for _, outcome in pairs]))
     assert runs[0] == runs[1]
@@ -90,15 +89,15 @@ def test_kernel_knob_defaults_on():
     graph = random_contact_graph(
         25, (10.0, 120.0), rng=np.random.default_rng(17)
     )
-    default = run_random_graph_batch(
-        graph, 3, 2, 1, horizon=240.0, sessions=20,
+    default = run_fused_graph_sweep(
+        graph, one_variant(3, 2), horizon=240.0, sessions_per_variant=20,
         rng=np.random.default_rng(17),
     )
-    knobbed = run_random_graph_batch(
-        graph, 3, 2, 1, horizon=240.0, sessions=20,
+    knobbed = run_fused_graph_sweep(
+        graph, one_variant(3, 2), horizon=240.0, sessions_per_variant=20,
         rng=np.random.default_rng(17), kernel=True,
     )
-    assert batch_fields(default) == batch_fields(knobbed)
+    assert batch_fields(default[0]) == batch_fields(knobbed[0])
 
 
 # ----------------------------------------------------------------------

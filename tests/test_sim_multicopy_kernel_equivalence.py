@@ -29,12 +29,13 @@ from repro.core.onion_groups import OnionGroupDirectory
 from repro.core.route import OnionRoute
 from repro.core.single_copy import SingleCopySession
 from repro.faults.recovery import FaultPlan, RecoveryPolicy
-from repro.experiments.runners import run_random_graph_batch
+from repro.experiments.runners import run_fused_graph_sweep
 from repro.sim.engine import SimulationEngine
 from repro.sim.kernel import BatchKernel, MultiCopyBatchKernel, kernel_class_for
 from repro.sim.message import Message
 from repro.sim.metrics import status_counts
 
+from tests.helpers import one_variant
 from tests.oracles import IteratorEngine, runners_using
 from tests.test_sim_kernel_equivalence import batch_fields, outcome_fields
 
@@ -55,16 +56,13 @@ def test_multicopy_kernel_matches_columnar(copies, policy, seed):
     counts = []
     for engine_cls in (IteratorEngine, SimulationEngine):
         with runners_using(engine_cls):
-            pairs = run_random_graph_batch(
+            pairs = run_fused_graph_sweep(
                 graph,
-                4,
-                2,
-                copies,
+                one_variant(4, 2, copies, spray_policy=policy),
                 horizon=360.0,
-                sessions=25,
+                sessions_per_variant=25,
                 rng=np.random.default_rng(seed),
-                spray_policy=policy,
-            )
+            )[0]
         runs.append(batch_fields(pairs))
         counts.append(status_counts([outcome for _, outcome in pairs]))
     assert runs[0] == runs[1]
@@ -83,15 +81,13 @@ def test_ticket_exhaustion_copies_saturate_group():
     runs = []
     for engine_cls in (IteratorEngine, SimulationEngine):
         with runners_using(engine_cls):
-            pairs = run_random_graph_batch(
+            pairs = run_fused_graph_sweep(
                 graph,
-                4,
-                2,
-                4,
+                one_variant(4, 2, 4),
                 horizon=720.0,
-                sessions=20,
+                sessions_per_variant=20,
                 rng=np.random.default_rng(seed),
-            )
+            )[0]
         runs.append(batch_fields(pairs))
     assert runs[0] == runs[1]
 
@@ -107,15 +103,13 @@ def test_overlapping_groups_noop_dispatches_match():
     runs = []
     for engine_cls in (IteratorEngine, SimulationEngine):
         with runners_using(engine_cls):
-            pairs = run_random_graph_batch(
+            pairs = run_fused_graph_sweep(
                 graph,
-                4,
-                2,
-                4,
+                one_variant(4, 2, 4),
                 horizon=720.0,
-                sessions=15,
+                sessions_per_variant=15,
                 rng=np.random.default_rng(seed),
-            )
+            )[0]
         runs.append(batch_fields(pairs))
     assert runs[0] == runs[1]
 

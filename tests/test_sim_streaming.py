@@ -24,10 +24,11 @@ from repro.contacts.events import (
 from repro.contacts.random_graph import random_contact_graph
 from repro.core.onion_groups import OnionGroupDirectory
 from repro.core.single_copy import SingleCopySession
-from repro.experiments.runners import run_random_graph_batch
+from repro.experiments.runners import run_fused_graph_sweep
 from repro.sim.engine import SimulationEngine
 from repro.sim.message import Message
 from repro.sim.metrics import status_counts
+from tests.helpers import one_variant
 from tests.oracles import IteratorEngine, runners_using
 
 
@@ -136,16 +137,14 @@ class TestStreamEventBlocks:
 
 
 def _run(graph, seed, **engine_knobs):
-    return run_random_graph_batch(
+    return run_fused_graph_sweep(
         graph,
-        4,
-        2,
-        copies=1,
+        one_variant(4, 2),
         horizon=360.0,
-        sessions=40,
+        sessions_per_variant=40,
         rng=np.random.default_rng(seed),
         **engine_knobs,
-    )
+    )[0]
 
 
 def _oracle(graph, seed):
@@ -164,12 +163,12 @@ class TestStreamConsume:
     def test_stream_matches_kernel_multicopy(self, graph):
         def run(**knobs):
             return batch_fields(
-                run_random_graph_batch(
-                    graph, 4, 2, copies=3,
-                    horizon=360.0, sessions=30,
+                run_fused_graph_sweep(
+                    graph, one_variant(4, 2, 3),
+                    horizon=360.0, sessions_per_variant=30,
                     rng=np.random.default_rng(7),
                     **knobs,
-                )
+                )[0]
             )
 
         assert run(stream_window=30.0) == run()
